@@ -216,15 +216,25 @@ mod tests {
         assert!(text.contains("ucp_core_solve_seconds_count 1"));
         assert!(text.contains("ucp_core_last_cost 5"));
         assert!(text.contains("phase=\"subgradient\""));
-        // Kernel counters flow through from ZddStats.
-        assert!(out.zdd_stats.cache_lookups() > 0);
+        // Kernel counters flow through from ZddStats. Encoding the row
+        // family interns nodes without probing the memo cache, so the
+        // unique-table misses are the witness that the kernel ran.
+        assert!(out.zdd_stats.unique_misses > 0);
         let snap = registry.snapshot();
-        let hits = snap
-            .iter()
-            .find(|s| s.name == "ucp_zdd_cache_hits_total")
-            .and_then(|s| s.as_counter())
-            .unwrap();
-        assert_eq!(hits, out.zdd_stats.cache_hits);
+        let counter = |name: &str| {
+            snap.iter()
+                .find(|s| s.name == name)
+                .and_then(|s| s.as_counter())
+                .unwrap()
+        };
+        assert_eq!(
+            counter("ucp_zdd_unique_misses_total"),
+            out.zdd_stats.unique_misses
+        );
+        assert_eq!(
+            counter("ucp_zdd_cache_hits_total"),
+            out.zdd_stats.cache_hits
+        );
     }
 
     #[test]

@@ -107,36 +107,15 @@ impl ImplicitMatrix {
 
     /// Fallible [`ImplicitMatrix::encode_with`] for budgeted managers.
     ///
-    /// Builds the row family one row at a time, checkpointing after each,
-    /// so the kernel can collect intermediate unions. If a row still
-    /// overflows the node budget after a forced collection, the error is
-    /// returned and the partially-built manager is dropped.
+    /// Builds the row family in one bottom-up pass
+    /// ([`Zdd::try_from_sets`]), which allocates only the family's own
+    /// nodes: it fails exactly when the deduplicated row family does not
+    /// fit the node budget, and the partially-built manager is dropped.
     pub fn try_encode_with(m: &CoverMatrix, opts: ZddOptions) -> Result<Self, ZddOverflow> {
         let mut zdd = opts.build();
-        let mut rows = NodeId::EMPTY;
+        let rows =
+            zdd.try_from_sets(m.rows().iter().map(|row| row.iter().map(|&j| Var::from(j))))?;
         let root = zdd.register_root(rows);
-        for row in m.rows() {
-            let vars: Vec<Var> = row.iter().map(|&j| Var::from(j)).collect();
-            let add = |z: &mut Zdd, rows: NodeId| -> Result<NodeId, ZddOverflow> {
-                let one = z.try_set(vars.iter().copied())?;
-                z.try_union(rows, one)
-            };
-            rows = match add(&mut zdd, rows) {
-                Ok(r) => r,
-                Err(_) => {
-                    // One recovery attempt: collect down to the rooted
-                    // prefix of the family, then retry the row.
-                    zdd.set_root(root, rows);
-                    zdd.collect();
-                    rows = zdd.root(root);
-                    add(&mut zdd, rows)?
-                }
-            };
-            zdd.set_root(root, rows);
-            if zdd.maybe_gc().is_some() {
-                rows = zdd.root(root);
-            }
-        }
         Ok(ImplicitMatrix {
             zdd,
             rows,

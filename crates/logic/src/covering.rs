@@ -13,7 +13,7 @@
 //! available too. The closure is capped; see `DESIGN.md`.
 
 use crate::cube::Cube;
-use crate::pla::{Pla, PlaType};
+use crate::pla::Pla;
 use crate::primes::prime_cubes;
 use bdd::{Bdd, BddId};
 use cover::{CoverMatrix, Solution};
@@ -159,98 +159,83 @@ pub fn build_covering(pla: &Pla) -> Result<UcpInstance, BuildCoveringError> {
 ///
 /// See [`build_covering`].
 pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, BuildCoveringError> {
+    build_covering_capped(pla, cost, MAX_COLUMNS)
+}
+
+/// [`build_covering_with`] with the candidate-column cap as an argument.
+fn build_covering_capped(
+    pla: &Pla,
+    cost: TermCost,
+    max_columns: usize,
+) -> Result<UcpInstance, BuildCoveringError> {
     let n = pla.num_inputs();
     if n > MAX_EXPANSION_INPUTS {
         return Err(BuildCoveringError::TooManyInputs(n));
     }
     let mut mgr = Bdd::default();
     let funcs = pla.output_functions(&mut mgr);
-    let uppers: Vec<BddId> = funcs
-        .iter()
-        .map(|f| {
-            let mut m = f.on;
-            m = {
-                let dc = f.dc;
-                mgr.or(m, dc)
-            };
-            m
-        })
-        .collect();
+    let uppers: Vec<BddId> = funcs.iter().map(|f| mgr.or(f.on, f.dc)).collect();
+    let candidates = candidate_columns(&mut mgr, &uppers, n, max_columns);
 
-    // Per-output primes with their maximal output sets.
-    let mut col_mask: HashMap<Cube, u64> = HashMap::new();
-    for upper in &uppers {
-        for cube in prime_cubes(&mut mgr, *upper) {
-            col_mask.entry(cube).or_insert(0);
-        }
-    }
-    // Maximal output set of each cube (implicant test against every upper).
-    let cubes: Vec<Cube> = col_mask.keys().copied().collect();
-    for cube in cubes {
-        let mask = output_set(&mut mgr, &uppers, &cube, n);
-        col_mask.insert(cube, mask);
+    // Rows: each output's ON-minterms in BDD order. Per output, the same
+    // minterms paired with their rows and sorted, as the row index.
+    let mut rows_meta: Vec<(u64, usize)> = Vec::new();
+    let mut on_rows: Vec<Vec<(u64, usize)>> = Vec::with_capacity(funcs.len());
+    for (o, f) in funcs.iter().enumerate() {
+        let ms = mgr.minterms(f.on, n as u32);
+        let first = rows_meta.len();
+        rows_meta.extend(ms.iter().map(|&m| (m, o)));
+        let mut index: Vec<(u64, usize)> = ms.into_iter().zip(first..).collect();
+        index.sort_unstable();
+        on_rows.push(index);
     }
 
-    // Bounded closure under pairwise intersection, so shared multi-output
-    // terms become available.
-    if pla.num_outputs() > 1 {
-        let mut worklist: Vec<Cube> = col_mask.keys().copied().collect();
-        while let Some(a) = worklist.pop() {
-            if col_mask.len() >= MAX_COLUMNS {
-                break;
-            }
-            let snapshot: Vec<(Cube, u64)> = col_mask.iter().map(|(c, m)| (*c, *m)).collect();
-            let mask_a = col_mask[&a];
-            for (b, mask_b) in snapshot {
-                if mask_a & !mask_b == 0 && mask_b & !mask_a == 0 {
-                    continue; // same output set: intersection gains nothing
-                }
-                if let Some(c) = a.intersect(&b) {
-                    if col_mask.contains_key(&c) {
-                        continue;
+    // Incidence, column by column: a column's rows are the ON-minterms of
+    // its outputs inside its cube. Enumerate the cube's minterms, or scan
+    // the output's ON-minterms when those are fewer. Columns that cover no
+    // row (pure don't-care terms) are dropped, and every row list comes out
+    // ascending.
+    let universe = (1u64 << n) - 1;
+    let mut columns: Vec<(Cube, u64)> = Vec::new();
+    let mut sparse_rows: Vec<Vec<usize>> = vec![Vec::new(); rows_meta.len()];
+    let mut hits: Vec<usize> = Vec::new();
+    for (cube, mask) in candidates {
+        hits.clear();
+        let free = universe & !(cube.pos() | cube.neg());
+        for index in (0..funcs.len())
+            .filter(|o| mask >> o & 1 == 1)
+            .map(|o| &on_rows[o])
+        {
+            if 1u64 << free.count_ones() > index.len() as u64 {
+                hits.extend(
+                    index
+                        .iter()
+                        .filter(|&&(m, _)| cube.eval(m))
+                        .map(|&(_, r)| r),
+                );
+            } else {
+                // Subsets of the free inputs, in increasing order.
+                let mut s = 0u64;
+                loop {
+                    let m = cube.pos() | s;
+                    if let Ok(k) = index.binary_search_by_key(&m, |&(m, _)| m) {
+                        hits.push(index[k].1);
                     }
-                    let mask_c = output_set(&mut mgr, &uppers, &c, n);
-                    if mask_c & !(mask_a | mask_b) != 0 || (mask_c != mask_a && mask_c != mask_b) {
-                        col_mask.insert(c, mask_c);
-                        worklist.push(c);
-                    }
-                    if col_mask.len() >= MAX_COLUMNS {
+                    s = s.wrapping_sub(free) & free;
+                    if s == 0 {
                         break;
                     }
                 }
             }
         }
-    }
-
-    // Freeze columns in a deterministic order.
-    let mut columns: Vec<(Cube, u64)> = col_mask.into_iter().collect();
-    columns.sort();
-    // Drop columns that cover no ON-minterm of any output they serve
-    // (pure-DC primes).
-    let on_minterms: Vec<Vec<u64>> = funcs.iter().map(|f| mgr.minterms(f.on, n as u32)).collect();
-    columns.retain(|(cube, mask)| {
-        (0..pla.num_outputs())
-            .any(|o| mask >> o & 1 == 1 && on_minterms[o].iter().any(|&m| cube.eval(m)))
-    });
-
-    // Rows and the sparse matrix.
-    let mut rows_meta: Vec<(u64, usize)> = Vec::new();
-    for (o, ms) in on_minterms.iter().enumerate() {
-        for &m in ms {
-            rows_meta.push((m, o));
+        if !hits.is_empty() {
+            for &r in &hits {
+                sparse_rows[r].push(columns.len());
+            }
+            columns.push((cube, mask));
         }
     }
-    let sparse_rows: Vec<Vec<usize>> = rows_meta
-        .iter()
-        .map(|&(m, o)| {
-            columns
-                .iter()
-                .enumerate()
-                .filter(|(_, (cube, mask))| mask >> o & 1 == 1 && cube.eval(m))
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
+
     let costs: Vec<f64> = match cost {
         TermCost::Products => vec![1.0; columns.len()],
         TermCost::ProductsThenLiterals => {
@@ -271,6 +256,65 @@ pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, Bui
         num_inputs: n,
         num_outputs: pla.num_outputs(),
     })
+}
+
+/// Candidate columns, sorted: every output's primes with their maximal
+/// output sets and, for several outputs, their closure under pairwise
+/// intersection, so shared multi-output terms become available. The
+/// closure stops at `max_columns`.
+fn candidate_columns(
+    mgr: &mut Bdd,
+    uppers: &[BddId],
+    n: usize,
+    max_columns: usize,
+) -> Vec<(Cube, u64)> {
+    let mut primes: Vec<Cube> = Vec::new();
+    for &upper in uppers {
+        primes.extend(prime_cubes(mgr, upper));
+    }
+    primes.sort_unstable();
+    primes.dedup();
+    let mut cols: Vec<(Cube, u64)> = primes
+        .into_iter()
+        .map(|c| (c, output_set(mgr, uppers, &c, n)))
+        .collect();
+
+    if uppers.len() > 1 {
+        // Every cube whose output set is known, and whether it is a column.
+        let mut seen: HashMap<Cube, (u64, bool)> =
+            cols.iter().map(|&(c, mask)| (c, (mask, true))).collect();
+        let mut worklist: Vec<usize> = (0..cols.len()).collect();
+        'closure: while let Some(i) = worklist.pop() {
+            if cols.len() >= max_columns {
+                break;
+            }
+            let (a, mask_a) = cols[i];
+            for k in 0..cols.len() {
+                let (b, mask_b) = cols[k];
+                if mask_a == mask_b {
+                    continue; // same output set: intersection gains nothing
+                }
+                let Some(c) = a.intersect(&b) else { continue };
+                let known = seen
+                    .entry(c)
+                    .or_insert_with(|| (output_set(mgr, uppers, &c, n), false));
+                let (mask_c, is_column) = *known;
+                if is_column {
+                    continue;
+                }
+                if mask_c & !(mask_a | mask_b) != 0 || (mask_c != mask_a && mask_c != mask_b) {
+                    known.1 = true;
+                    cols.push((c, mask_c));
+                    worklist.push(cols.len() - 1);
+                    if cols.len() >= max_columns {
+                        break 'closure;
+                    }
+                }
+            }
+        }
+    }
+    cols.sort_unstable();
+    cols
 }
 
 /// The maximal set of outputs for which `cube` is an implicant of `upper_o`.
@@ -294,9 +338,10 @@ fn output_set(mgr: &mut Bdd, uppers: &[BddId], cube: &Cube, n: usize) -> u64 {
     mask
 }
 
-/// Convenience: is this PLA's covering formulation single-output?
+/// Convenience: is this PLA's covering formulation single-output? That is
+/// exactly `num_outputs() == 1`; the PLA type plays no part.
 pub fn is_single_output(pla: &Pla) -> bool {
-    pla.num_outputs() == 1 && pla.pla_type() != PlaType::Fr || pla.num_outputs() == 1
+    pla.num_outputs() == 1
 }
 
 #[cfg(test)]
@@ -387,6 +432,53 @@ mod tests {
             build_covering(&pla).unwrap_err(),
             BuildCoveringError::TooManyInputs(30)
         );
+    }
+
+    /// A seeded multi-output PLA whose intersection closure more than
+    /// doubles its prime count.
+    fn closure_heavy_pla() -> Pla {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (n, outputs) = (8, 6);
+        let mut pla = Pla::new(n, outputs);
+        for _ in 0..40 {
+            let care = (next() | next()) & ((1 << n) - 1);
+            let pos = next() & care;
+            let on = next() % ((1 << outputs) - 1) + 1;
+            pla.push_term(Cube::new(pos, care & !pos), on, 0);
+        }
+        pla
+    }
+
+    #[test]
+    fn capped_closure_is_deterministic() {
+        let pla = closure_heavy_pla();
+        let candidates = |cap: usize| {
+            let mut mgr = Bdd::default();
+            let uppers: Vec<BddId> = pla
+                .output_functions(&mut mgr)
+                .iter()
+                .map(|f| mgr.or(f.on, f.dc))
+                .collect();
+            candidate_columns(&mut mgr, &uppers, pla.num_inputs(), cap).len()
+        };
+        // A cap of zero keeps only the primes.
+        let (primes, closed) = (candidates(0), candidates(usize::MAX));
+        let cap = (primes + closed) / 2;
+        assert!(
+            primes < cap && cap < closed,
+            "{primes} primes, {closed} closed"
+        );
+        assert_eq!(candidates(cap), cap);
+        let first = build_covering_capped(&pla, TermCost::Products, cap).unwrap();
+        let second = build_covering_capped(&pla, TermCost::Products, cap).unwrap();
+        assert_eq!(first.columns, second.columns);
+        assert_eq!(first.matrix.rows(), second.matrix.rows());
     }
 
     #[test]

@@ -393,15 +393,64 @@ impl Zdd {
     }
 
     /// Builds a family from an iterator of sets.
+    ///
+    /// Set order, duplicate sets and repeated variables are all tolerated.
+    /// The diagram is built bottom-up from the sorted, deduplicated member
+    /// list: each node of the result is interned once through the unique
+    /// table, no intermediate family is allocated and the computed cache
+    /// is never probed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on node-budget exhaustion (see [`Zdd::try_from_sets`]).
     pub fn from_sets<I, S>(&mut self, sets: I) -> NodeId
     where
         I: IntoIterator<Item = S>,
         S: IntoIterator<Item = Var>,
     {
-        let mut acc = NodeId::EMPTY;
-        for s in sets {
-            let one = self.set(s);
-            acc = self.union(acc, one);
+        let members = sorted_members(sets);
+        let r = self.build_sorted(&members, 0);
+        self.finish(r)
+    }
+
+    /// Fallible [`Zdd::from_sets`] for budgeted managers.
+    ///
+    /// The build allocates exactly the result's nodes that are not already
+    /// in the store, so it overflows exactly when they do not fit the
+    /// budget.
+    pub fn try_from_sets<I, S>(&mut self, sets: I) -> Result<NodeId, ZddOverflow>
+    where
+        I: IntoIterator<Item = S>,
+        S: IntoIterator<Item = Var>,
+    {
+        if self.exhausted {
+            return Err(self.overflow());
+        }
+        let members = sorted_members(sets);
+        let r = self.build_sorted(&members, 0);
+        self.finish_try(r)
+    }
+
+    /// The family of the suffixes `s[depth..]` of `sets`, which are sorted,
+    /// distinct and share their first `depth` variables. Recursion follows
+    /// hi edges only, so its depth is bounded by the longest set; the lo
+    /// chain of each level is a loop, built from its last variable up.
+    fn build_sorted(&mut self, sets: &[Vec<u32>], depth: usize) -> NodeId {
+        // The empty suffix, if present, sorts first.
+        let (mut acc, rest) = match sets.split_first() {
+            Some((s, rest)) if s.len() == depth => (NodeId::BASE, rest),
+            _ => (NodeId::EMPTY, sets),
+        };
+        let mut end = rest.len();
+        while end > 0 {
+            let v = rest[end - 1][depth];
+            let mut start = end - 1;
+            while start > 0 && rest[start - 1][depth] == v {
+                start -= 1;
+            }
+            let hi = self.build_sorted(&rest[start..end], depth + 1);
+            acc = self.node_core(Var(v), acc, hi);
+            end = start;
         }
         acc
     }
@@ -539,6 +588,27 @@ impl Zdd {
             (f, NodeId::EMPTY)
         }
     }
+}
+
+/// Each set as its sorted, distinct raw variables; the sets themselves
+/// sorted lexicographically and deduplicated.
+fn sorted_members<I, S>(sets: I) -> Vec<Vec<u32>>
+where
+    I: IntoIterator<Item = S>,
+    S: IntoIterator<Item = Var>,
+{
+    let mut members: Vec<Vec<u32>> = sets
+        .into_iter()
+        .map(|s| {
+            let mut vars: Vec<u32> = s.into_iter().map(|v| v.0).collect();
+            vars.sort_unstable();
+            vars.dedup();
+            vars
+        })
+        .collect();
+    members.sort_unstable();
+    members.dedup();
+    members
 }
 
 #[cfg(test)]

@@ -15,13 +15,18 @@ use ucp::ucp_engine::{Engine, EngineConfig, JobError};
 use ucp::ucp_telemetry::{Event, Probe};
 use ucp::workloads::suite;
 
-/// A slice of the easy-cyclic suite, shared so requests are `'static`.
-fn instances() -> Vec<(String, Arc<CoverMatrix>)> {
-    suite::easy_cyclic()
+/// The first `n` instances of a suite, shared so requests are `'static`.
+fn shared(suite: Vec<suite::Instance>, n: usize) -> Vec<(String, Arc<CoverMatrix>)> {
+    suite
         .into_iter()
-        .take(10)
+        .take(n)
         .map(|i| (i.name, Arc::new(i.matrix)))
         .collect()
+}
+
+/// A slice of the easy-cyclic suite.
+fn instances() -> Vec<(String, Arc<CoverMatrix>)> {
+    shared(suite::easy_cyclic(), 10)
 }
 
 fn request(m: &Arc<CoverMatrix>) -> SolveRequest<'static> {
@@ -79,11 +84,13 @@ fn batch_is_bit_identical_to_the_serial_loop() {
 /// (tiny `gc_threshold`, full implicit reduction so the collector has
 /// real work) must keep every job's peak node count under a configured
 /// ceiling, actually collect, and still return bit-identical answers
-/// to the same schedule on the default kernel.
+/// to the same schedule on the default kernel. The row family is built
+/// without garbage, so the instances are two challenging ones whose
+/// implicit reductions drop enough intermediate families to collect.
 #[test]
 fn batch_with_gc_kernel_stays_under_the_node_ceiling() {
     const NODE_CEILING: usize = 4096;
-    let insts = instances();
+    let insts = shared(suite::challenging(), 2);
     let schedule = |kernel: ZddOptions| ScgOptions {
         core: CoreOptions {
             // Disable the MaxR/MaxC early exit so the implicit phase
