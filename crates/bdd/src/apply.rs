@@ -119,11 +119,28 @@ impl Bdd {
         self.or(it, ne)
     }
 
-    /// Decides whether `f ≤ g` (i.e. `f → g` is a tautology) without building
-    /// the implication BDD.
+    /// Decides whether `f ≤ g` (i.e. `f → g` is a tautology).
+    ///
+    /// Splits both functions on their top variable and stops at constants;
+    /// results are memoised in the computed cache. No node is created, so
+    /// [`len`](Bdd::len) is the same before and after the call.
     pub fn implies_check(&mut self, f: BddId, g: BddId) -> bool {
-        let imp = self.implies(f, g);
-        imp.is_true()
+        if f == g || f.is_false() || g.is_true() {
+            return true;
+        }
+        if f.is_true() || g.is_false() {
+            return false;
+        }
+        if let Some(&r) = self.cache.get(&(BOp::Leq, f, g)) {
+            return r.is_true();
+        }
+        let v = self.raw_var(f).min(self.raw_var(g));
+        let (f0, f1) = self.cofactors(f, v);
+        let (g0, g1) = self.cofactors(g, v);
+        let r = self.implies_check(f0, g0) && self.implies_check(f1, g1);
+        let id = if r { BddId::TRUE } else { BddId::FALSE };
+        self.cache.insert((BOp::Leq, f, g), id);
+        r
     }
 
     /// Conjunction of many functions.

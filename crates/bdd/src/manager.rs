@@ -47,6 +47,7 @@ pub(crate) enum BOp {
     Forall,
     Restrict1,
     Restrict0,
+    Leq,
 }
 
 /// A hash-consed store of reduced ordered BDD nodes.

@@ -124,6 +124,30 @@ proptest! {
     }
 
     #[test]
+    fn implies_check_builds_nothing(a in expr_strategy(), c in expr_strategy()) {
+        let mut b = Bdd::default();
+        let f = build(&mut b, &a);
+        let h = build(&mut b, &c);
+        let f_or_h = b.or(f, h);
+        let mut reference = Bdd::default();
+        let rf = build(&mut reference, &a);
+        let rh = build(&mut reference, &c);
+        let rf_or_h = reference.or(rf, rh);
+        let pairs = [
+            ((f, h), (rf, rh)),
+            ((h, f), (rh, rf)),
+            ((f, f_or_h), (rf, rf_or_h)),
+        ];
+        for ((x, y), (rx, ry)) in pairs {
+            let len = b.len();
+            let leq = b.implies_check(x, y);
+            prop_assert_eq!(b.len(), len);
+            let imp = reference.implies(rx, ry);
+            prop_assert_eq!(leq, imp.is_true());
+        }
+    }
+
+    #[test]
     fn one_sat_is_satisfying(e in expr_strategy()) {
         let mut b = Bdd::default();
         let f = build(&mut b, &e);

@@ -175,7 +175,7 @@ fn build_covering_capped(
     let mut mgr = Bdd::default();
     let funcs = pla.output_functions(&mut mgr);
     let uppers: Vec<BddId> = funcs.iter().map(|f| mgr.or(f.on, f.dc)).collect();
-    let candidates = candidate_columns(&mut mgr, &uppers, n, max_columns);
+    let candidates = candidate_columns(&mut mgr, &uppers, max_columns);
 
     // Rows: each output's ON-minterms in BDD order. Per output, the same
     // minterms paired with their rows and sorted, as the row index.
@@ -261,13 +261,9 @@ fn build_covering_capped(
 /// Candidate columns, sorted: every output's primes with their maximal
 /// output sets and, for several outputs, their closure under pairwise
 /// intersection, so shared multi-output terms become available. The
-/// closure stops at `max_columns`.
-fn candidate_columns(
-    mgr: &mut Bdd,
-    uppers: &[BddId],
-    n: usize,
-    max_columns: usize,
-) -> Vec<(Cube, u64)> {
+/// closure meets each unordered pair of columns once and stops at
+/// `max_columns`.
+fn candidate_columns(mgr: &mut Bdd, uppers: &[BddId], max_columns: usize) -> Vec<(Cube, u64)> {
     let mut primes: Vec<Cube> = Vec::new();
     for &upper in uppers {
         primes.extend(prime_cubes(mgr, upper));
@@ -276,20 +272,19 @@ fn candidate_columns(
     primes.dedup();
     let mut cols: Vec<(Cube, u64)> = primes
         .into_iter()
-        .map(|c| (c, output_set(mgr, uppers, &c, n)))
+        .map(|c| (c, output_set(mgr, uppers, &c)))
         .collect();
 
     if uppers.len() > 1 {
         // Every cube whose output set is known, and whether it is a column.
         let mut seen: HashMap<Cube, (u64, bool)> =
             cols.iter().map(|&(c, mask)| (c, (mask, true))).collect();
-        let mut worklist: Vec<usize> = (0..cols.len()).collect();
-        'closure: while let Some(i) = worklist.pop() {
-            if cols.len() >= max_columns {
-                break;
-            }
+        // Column `i` meets the columns before it; a new column is appended
+        // and meets all of them in its own turn.
+        let mut i = 0;
+        'closure: while i < cols.len() && cols.len() < max_columns {
             let (a, mask_a) = cols[i];
-            for k in 0..cols.len() {
+            for k in 0..i {
                 let (b, mask_b) = cols[k];
                 if mask_a == mask_b {
                     continue; // same output set: intersection gains nothing
@@ -297,7 +292,7 @@ fn candidate_columns(
                 let Some(c) = a.intersect(&b) else { continue };
                 let known = seen
                     .entry(c)
-                    .or_insert_with(|| (output_set(mgr, uppers, &c, n), false));
+                    .or_insert_with(|| (output_set(mgr, uppers, &c), false));
                 let (mask_c, is_column) = *known;
                 if is_column {
                     continue;
@@ -305,12 +300,12 @@ fn candidate_columns(
                 if mask_c & !(mask_a | mask_b) != 0 || (mask_c != mask_a && mask_c != mask_b) {
                     known.1 = true;
                     cols.push((c, mask_c));
-                    worklist.push(cols.len() - 1);
                     if cols.len() >= max_columns {
                         break 'closure;
                     }
                 }
             }
+            i += 1;
         }
     }
     cols.sort_unstable();
@@ -318,20 +313,10 @@ fn candidate_columns(
 }
 
 /// The maximal set of outputs for which `cube` is an implicant of `upper_o`.
-fn output_set(mgr: &mut Bdd, uppers: &[BddId], cube: &Cube, n: usize) -> u64 {
-    let mut cube_bdd = BddId::TRUE;
-    for v in (0..n).rev() {
-        if cube.has_pos(v) {
-            let lit = mgr.var(v as u32);
-            cube_bdd = mgr.and(lit, cube_bdd);
-        } else if cube.has_neg(v) {
-            let lit = mgr.nvar(v as u32);
-            cube_bdd = mgr.and(lit, cube_bdd);
-        }
-    }
+fn output_set(mgr: &Bdd, uppers: &[BddId], cube: &Cube) -> u64 {
     let mut mask = 0u64;
     for (o, &upper) in uppers.iter().enumerate() {
-        if mgr.implies_check(cube_bdd, upper) {
+        if cube.implies(mgr, upper) {
             mask |= 1 << o;
         }
     }
@@ -465,7 +450,7 @@ mod tests {
                 .iter()
                 .map(|f| mgr.or(f.on, f.dc))
                 .collect();
-            candidate_columns(&mut mgr, &uppers, pla.num_inputs(), cap).len()
+            candidate_columns(&mut mgr, &uppers, cap).len()
         };
         // A cap of zero keeps only the primes.
         let (primes, closed) = (candidates(0), candidates(usize::MAX));

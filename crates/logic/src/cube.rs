@@ -5,6 +5,8 @@
 //! a don't-care. The masks are disjoint by construction (a variable in both
 //! would make the cube empty).
 
+use bdd::{Bdd, BddId};
+use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -173,6 +175,78 @@ impl Cube {
             pos: self.pos & !bit,
             neg: self.neg & !bit,
         })
+    }
+
+    /// Builds this cube's BDD in `mgr`, one literal at a time from the
+    /// highest variable down, so each conjunction puts one node on top of
+    /// the part already built.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use logic::Cube;
+    /// let mut mgr = bdd::BddOptions::new().build();
+    /// let c: Cube = "1-0".parse().unwrap();
+    /// let f = c.to_bdd(&mut mgr);
+    /// assert!(mgr.eval(f, &[true, false, false]));
+    /// assert!(!mgr.eval(f, &[true, false, true]));
+    /// ```
+    pub fn to_bdd(&self, mgr: &mut Bdd) -> BddId {
+        let mut acc = BddId::TRUE;
+        let mut lits = self.pos | self.neg;
+        while lits != 0 {
+            let v = 63 - lits.leading_zeros();
+            lits &= !(1 << v);
+            let lit = if self.has_pos(v as usize) {
+                mgr.var(v)
+            } else {
+                mgr.nvar(v)
+            };
+            acc = mgr.and(lit, acc);
+        }
+        acc
+    }
+
+    /// Is every minterm of this cube in `f`?
+    ///
+    /// Walks `f` from the root: a variable the cube fixes follows one edge,
+    /// a free variable follows both (a shared node is split only once), and
+    /// reaching `FALSE` fails at once. The manager is only read, so no node
+    /// or cache entry is created.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use logic::Cube;
+    /// let mut mgr = bdd::BddOptions::new().build();
+    /// let x0 = mgr.var(0);
+    /// let x1 = mgr.var(1);
+    /// let f = mgr.or(x0, x1);
+    /// assert!("1-".parse::<Cube>()?.implies(&mgr, f));
+    /// assert!(!"0-".parse::<Cube>()?.implies(&mgr, f));
+    /// # Ok::<(), logic::cube::ParseCubeError>(())
+    /// ```
+    pub fn implies(&self, mgr: &Bdd, f: BddId) -> bool {
+        let mut stack = vec![f];
+        let mut seen: HashSet<BddId> = HashSet::new();
+        while let Some(g) = stack.pop() {
+            if g.is_true() {
+                continue;
+            }
+            if g.is_false() {
+                return false;
+            }
+            let v = mgr.var_of(g) as usize;
+            if self.has_pos(v) {
+                stack.push(mgr.hi(g));
+            } else if self.has_neg(v) {
+                stack.push(mgr.lo(g));
+            } else if seen.insert(g) {
+                stack.push(mgr.hi(g));
+                stack.push(mgr.lo(g));
+            }
+        }
+        true
     }
 
     /// Number of minterms over `n` variables.

@@ -95,17 +95,7 @@ impl CubeList {
     pub fn to_bdd(&self, mgr: &mut Bdd) -> BddId {
         let mut acc = BddId::FALSE;
         for c in &self.cubes {
-            let mut cube_bdd = BddId::TRUE;
-            // Build bottom-up (highest variable first) for linear work.
-            for v in (0..self.num_inputs).rev() {
-                if c.has_pos(v) {
-                    let lit = mgr.var(v as u32);
-                    cube_bdd = mgr.and(lit, cube_bdd);
-                } else if c.has_neg(v) {
-                    let lit = mgr.nvar(v as u32);
-                    cube_bdd = mgr.and(lit, cube_bdd);
-                }
-            }
+            let cube_bdd = c.to_bdd(mgr);
             acc = mgr.or(acc, cube_bdd);
         }
         acc

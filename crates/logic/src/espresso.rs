@@ -76,8 +76,8 @@ pub fn minimize(pla: &Pla, opts: &EspressoOptions) -> Pla {
 
     let mut best_len = usize::MAX;
     for _ in 0..opts.max_sweeps {
-        expand(&mut mgr, &uppers, n, &mut terms);
-        irredundant(&mut mgr, &ons, n, &mut terms);
+        expand(&mgr, &uppers, n, &mut terms);
+        irredundant(&mut mgr, &ons, &mut terms);
         if terms.len() >= best_len {
             break;
         }
@@ -85,8 +85,8 @@ pub fn minimize(pla: &Pla, opts: &EspressoOptions) -> Pla {
         reduce(&mut mgr, &ons, n, &mut terms);
     }
     // Finish on an expanded, irredundant cover.
-    expand(&mut mgr, &uppers, n, &mut terms);
-    irredundant(&mut mgr, &ons, n, &mut terms);
+    expand(&mgr, &uppers, n, &mut terms);
+    irredundant(&mut mgr, &ons, &mut terms);
 
     let mut out = Pla::new(n, pla.num_outputs());
     for (c, mask) in terms {
@@ -120,22 +120,8 @@ pub fn realizes(original: &Pla, candidate: &Pla) -> bool {
     true
 }
 
-fn cube_bdd(mgr: &mut Bdd, c: &Cube, n: usize) -> BddId {
-    let mut acc = BddId::TRUE;
-    for v in (0..n).rev() {
-        if c.has_pos(v) {
-            let lit = mgr.var(v as u32);
-            acc = mgr.and(lit, acc);
-        } else if c.has_neg(v) {
-            let lit = mgr.nvar(v as u32);
-            acc = mgr.and(lit, acc);
-        }
-    }
-    acc
-}
-
 /// EXPAND: drop literals greedily, then widen output masks.
-fn expand(mgr: &mut Bdd, uppers: &[BddId], n: usize, terms: &mut [(Cube, u64)]) {
+fn expand(mgr: &Bdd, uppers: &[BddId], n: usize, terms: &mut [(Cube, u64)]) {
     for (c, mask) in terms.iter_mut() {
         // Try removing each literal, most recently kept first.
         let mut changed = true;
@@ -146,10 +132,9 @@ fn expand(mgr: &mut Bdd, uppers: &[BddId], n: usize, terms: &mut [(Cube, u64)]) 
                     continue;
                 }
                 let wider = Cube::new(c.pos() & !(1 << v), c.neg() & !(1 << v));
-                let wbdd = cube_bdd(mgr, &wider, n);
                 let ok = (0..uppers.len())
                     .filter(|&o| *mask >> o & 1 == 1)
-                    .all(|o| mgr.implies_check(wbdd, uppers[o]));
+                    .all(|o| wider.implies(mgr, uppers[o]));
                 if ok {
                     *c = wider;
                     changed = true;
@@ -157,9 +142,8 @@ fn expand(mgr: &mut Bdd, uppers: &[BddId], n: usize, terms: &mut [(Cube, u64)]) 
             }
         }
         // Output expansion: assert every output that accepts the cube.
-        let cbdd = cube_bdd(mgr, c, n);
         for (o, &upper) in uppers.iter().enumerate() {
-            if *mask >> o & 1 == 0 && mgr.implies_check(cbdd, upper) {
+            if *mask >> o & 1 == 0 && c.implies(mgr, upper) {
                 *mask |= 1 << o;
             }
         }
@@ -168,7 +152,7 @@ fn expand(mgr: &mut Bdd, uppers: &[BddId], n: usize, terms: &mut [(Cube, u64)]) 
 
 /// IRREDUNDANT: greedy removal, widest terms first (they are most likely
 /// covered by the rest after expansion of the others).
-fn irredundant(mgr: &mut Bdd, ons: &[BddId], n: usize, terms: &mut Vec<(Cube, u64)>) {
+fn irredundant(mgr: &mut Bdd, ons: &[BddId], terms: &mut Vec<(Cube, u64)>) {
     let mut order: Vec<usize> = (0..terms.len()).collect();
     order.sort_by_key(|&i| terms[i].0.literal_count());
     let mut alive: Vec<bool> = vec![true; terms.len()];
@@ -179,7 +163,7 @@ fn irredundant(mgr: &mut Bdd, ons: &[BddId], n: usize, terms: &mut Vec<(Cube, u6
             let mut cover = BddId::FALSE;
             for (k, &(c, mask)) in terms.iter().enumerate() {
                 if alive[k] && mask >> o & 1 == 1 {
-                    let cb = cube_bdd(mgr, &c, n);
+                    let cb = c.to_bdd(mgr);
                     cover = mgr.or(cover, cb);
                 }
             }
@@ -202,7 +186,7 @@ fn irredundant(mgr: &mut Bdd, ons: &[BddId], n: usize, terms: &mut Vec<(Cube, u6
 fn reduce(mgr: &mut Bdd, ons: &[BddId], n: usize, terms: &mut [(Cube, u64)]) {
     let snapshot: Vec<(Cube, u64)> = terms.to_vec();
     for (i, (c, mask)) in terms.iter_mut().enumerate() {
-        let cbdd = cube_bdd(mgr, c, n);
+        let cbdd = c.to_bdd(mgr);
         // What this term alone must keep covering.
         let mut essential = BddId::FALSE;
         for (o, &on) in ons.iter().enumerate() {
@@ -212,7 +196,7 @@ fn reduce(mgr: &mut Bdd, ons: &[BddId], n: usize, terms: &mut [(Cube, u64)]) {
             let mut others = BddId::FALSE;
             for (k, &(oc, omask)) in snapshot.iter().enumerate() {
                 if k != i && omask >> o & 1 == 1 {
-                    let ob = cube_bdd(mgr, &oc, n);
+                    let ob = oc.to_bdd(mgr);
                     others = mgr.or(others, ob);
                 }
             }
