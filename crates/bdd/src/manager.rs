@@ -86,12 +86,6 @@ impl Default for Bdd {
 }
 
 impl Bdd {
-    /// Creates a manager holding only the constants.
-    #[deprecated(since = "0.5.0", note = "use `BddOptions::new().build()` instead")]
-    pub fn new() -> Self {
-        crate::BddOptions::default().build()
-    }
-
     /// Constructs a manager from validated options
     /// ([`BddOptions::build`](crate::BddOptions::build) is the public
     /// entry).

@@ -83,14 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn default_build_matches_legacy_new() {
-        #[allow(deprecated)]
-        let a = Bdd::new();
-        let b = BddOptions::default().build();
-        assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
     fn zero_capacities_still_work() {
         let mut b = BddOptions::new()
             .unique_capacity(0)

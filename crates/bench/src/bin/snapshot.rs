@@ -3,10 +3,12 @@
 //! Runs the difficult-cyclic suite and writes `results/BENCH_scg.json`, a
 //! single JSON document with per-instance cost / lower bound / wall time /
 //! phase breakdown plus aggregate totals — the file a CI job can archive or
-//! diff to track solver performance over time. Each instance is solved
-//! twice, serially and through the shared-core parallel restart engine, so
-//! the snapshot also carries a `parallel` speedup row (the two solves
-//! return the identical answer by construction; the snapshot asserts it).
+//! diff to track solver performance over time. Each instance is also
+//! solved at the Paper preset serially and on a restart pool, so the
+//! snapshot carries a `parallel` speedup row (the two solves return the
+//! identical answer by construction; the snapshot asserts it). That pair
+//! runs at Paper even under `--quick`: Fast has one restart, so a Fast
+//! pool would have nothing to parallelise.
 //! A third pass re-runs the whole suite through the `ucp-engine` batch
 //! scheduler at 1 and N workers and records an `engine` throughput row
 //! (jobs/sec and batch speedup), again asserting identical outcomes.
@@ -359,6 +361,8 @@ fn main() {
     } else {
         ScgOptions::default()
     };
+    // The `parallel` row's pair (see the module docs).
+    let paper = Preset::Paper.options();
     // At least 2 so the pooled path is exercised even on one-core boxes
     // (where the speedup honestly reports ~1.0).
     let workers = std::thread::available_parallelism()
@@ -367,9 +371,8 @@ fn main() {
         .clamp(2, 8);
     let mut runs: Vec<String> = Vec::new();
     let mut total_seconds = 0.0f64;
+    let mut paper_serial_seconds = 0.0f64;
     let mut parallel_seconds = 0.0f64;
-    let mut forced_pool_seconds = 0.0f64;
-    let mut fallback_engaged = 0usize;
     let mut subgradient_seconds = 0.0f64;
     let mut subgradient_iters = 0u64;
     let mut certified = 0usize;
@@ -377,33 +380,21 @@ fn main() {
     let instances = suite::difficult_cyclic();
     for inst in &instances {
         let out = run_scg(&inst.matrix, opts);
-        // The honest parallel run: default small-core fallback in force,
-        // so its `restart_workers` records the scheduling decision.
-        let par = run_scg(&inst.matrix, ScgOptions { workers, ..opts });
-        // And a forced-pool run (fallback off) so the pooled machinery
-        // itself stays under the determinism check.
-        let pooled = run_scg(
-            &inst.matrix,
-            ScgOptions {
-                workers,
-                parallel_nnz_threshold: 0,
-                ..opts
-            },
+        let serial = if quick {
+            run_scg(&inst.matrix, paper)
+        } else {
+            out.clone()
+        };
+        let par = run_scg(&inst.matrix, ScgOptions { workers, ..paper });
+        assert_eq!(
+            (serial.cost, serial.solution.cols(), serial.iterations),
+            (par.cost, par.solution.cols(), par.iterations),
+            "{}: pooled solve diverged from serial",
+            inst.name
         );
-        for (label, other) in [("parallel", &par), ("forced-pool", &pooled)] {
-            assert_eq!(
-                (out.cost, out.solution.cols()),
-                (other.cost, other.solution.cols()),
-                "{}: {label} solve diverged from serial",
-                inst.name
-            );
-        }
         total_seconds += out.total_time.as_secs_f64();
+        paper_serial_seconds += serial.total_time.as_secs_f64();
         parallel_seconds += par.total_time.as_secs_f64();
-        forced_pool_seconds += pooled.total_time.as_secs_f64();
-        if par.restart_workers == 1 {
-            fallback_engaged += 1;
-        }
         subgradient_seconds += out.phase_times.get(Phase::Subgradient);
         subgradient_iters += out.subgradient_iterations as u64;
         if out.proven_optimal {
@@ -417,17 +408,18 @@ fn main() {
         o.field_f64("parallel_seconds", par.total_time.as_secs_f64());
         runs.push(o.finish());
         println!(
-            "{:>10}  cost {:>6}  lb {:>8.2}  {:>7.3}s  ({:>7.3}s with {workers} workers)",
+            "{:>10}  cost {:>6}  lb {:>8.2}  {:>7.3}s  (paper: {:>7.3}s serial, {:>7.3}s with {workers} workers)",
             inst.name,
             out.cost,
             out.lower_bound,
             out.total_time.as_secs_f64(),
+            serial.total_time.as_secs_f64(),
             par.total_time.as_secs_f64()
         );
         serial_outcomes.push(out);
     }
     let speedup = if parallel_seconds > 0.0 {
-        total_seconds / parallel_seconds
+        paper_serial_seconds / parallel_seconds
     } else {
         1.0
     };
@@ -459,8 +451,8 @@ fn main() {
         1.0
     };
     let mut doc = JsonObj::new();
-    doc.field_str("schema", "ucp-bench-snapshot/5");
-    doc.field_u64("schema_version", 5);
+    doc.field_str("schema", "ucp-bench-snapshot/6");
+    doc.field_u64("schema_version", 6);
     doc.field_str("git_commit", &git_commit());
     doc.field_str("preset", if quick { "fast" } else { "default" });
     doc.field_u64("instances", runs.len() as u64);
@@ -474,17 +466,11 @@ fn main() {
     sub_row.field_u64("iterations", subgradient_iters);
     doc.field_raw("subgradient", &sub_row.finish());
     let mut par_row = JsonObj::new();
+    par_row.field_str("preset", "paper");
     par_row.field_u64("workers", workers as u64);
+    par_row.field_f64("serial_seconds", paper_serial_seconds);
     par_row.field_f64("total_seconds", parallel_seconds);
     par_row.field_f64("speedup", speedup);
-    // The small-core serial-fallback decision: threshold in force and how
-    // many of the suite's instances it collapsed to an inline solve.
-    par_row.field_u64(
-        "serial_fallback_nnz",
-        ScgOptions::default().parallel_nnz_threshold as u64,
-    );
-    par_row.field_u64("fallback_engaged", fallback_engaged as u64);
-    par_row.field_f64("forced_pool_seconds", forced_pool_seconds);
     doc.field_raw("parallel", &par_row.finish());
     let mut eng_row = JsonObj::new();
     eng_row.field_u64("workers", workers as u64);
@@ -500,7 +486,7 @@ fn main() {
     fs::create_dir_all("results").expect("create results/");
     fs::write("results/BENCH_scg.json", doc.finish() + "\n").expect("write results/BENCH_scg.json");
     println!(
-        "snapshot: {} instances, {certified} certified optimal, {total_seconds:.2}s serial / {parallel_seconds:.2}s with {workers} workers ({speedup:.2}x, fallback on {fallback_engaged}) -> results/BENCH_scg.json",
+        "snapshot: {} instances, {certified} certified optimal, {total_seconds:.2}s serial; paper preset {paper_serial_seconds:.2}s serial / {parallel_seconds:.2}s with {workers} workers ({speedup:.2}x) -> results/BENCH_scg.json",
         runs.len()
     );
     println!("subgradient: {subgradient_seconds:.3}s in phase over {subgradient_iters} iterations");

@@ -19,8 +19,8 @@
 //! * [`bounds`] — the four lower bounds of Proposition 1 side by side;
 //! * [`scg`] — the full constructive driver of Fig. 2 with its stochastic
 //!   restarts ([`Scg`]);
-//! * [`restart`] — the shared-core parallel restart engine scheduling
-//!   those runs over worker threads without changing the answer;
+//! * [`restart`] — the restart scheduler running those runs (or partition
+//!   blocks) on `min(workers, tasks)` threads without changing the answer;
 //! * [`request`] — the unified solve API: build a [`SolveRequest`]
 //!   (instance + [`Preset`]/options + deadline + seed + probe +
 //!   [`CancelFlag`]) and pass it to [`Scg::run`].

@@ -1,10 +1,7 @@
 //! The unified solve API: [`SolveRequest`], [`Preset`], [`CancelFlag`]
 //! and [`SolveError`].
 //!
-//! Historically the solver grew four entrypoints (`solve`,
-//! `solve_with_probe`, `solve_parallel`, `solve_parallel_with_probe`)
-//! plus an ad-hoc `ScgOptions::fast()` preset. They all collapse into
-//! one call:
+//! Every solve — inline or pooled, probed or not — is one call:
 //!
 //! ```
 //! use cover::CoverMatrix;
@@ -41,8 +38,7 @@ use ucp_telemetry::{Event, NoopProbe, Probe};
 // solve API stays one import.
 pub use cover::CancelFlag;
 
-/// Named option presets replacing the old `ScgOptions::fast()`/default
-/// split.
+/// Named option presets.
 ///
 /// Each preset pins the paper's headline knobs — `NumIter` (number of
 /// constructive runs), the `BestCol` randomisation width growth, and
@@ -596,9 +592,7 @@ impl std::fmt::Debug for SolveRequest<'_> {
 }
 
 impl Scg {
-    /// Runs the solve described by `req` — the unified entrypoint
-    /// subsuming the deprecated `solve`, `solve_with_probe`,
-    /// `solve_parallel` and `solve_parallel_with_probe`.
+    /// Runs the solve described by `req` — the solver's one entrypoint.
     ///
     /// The request's options are authoritative: presets, worker count,
     /// seed and deadline all travel inside it, so a request fully
@@ -755,18 +749,6 @@ mod tests {
 
     fn cycle(n: usize) -> CoverMatrix {
         CoverMatrix::from_rows(n, (0..n).map(|i| vec![i, (i + 1) % n]).collect())
-    }
-
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn run_matches_deprecated_solve() {
-        let m = cycle(9);
-        #[allow(deprecated)]
-        let old = Scg::with_defaults().solve(&m);
-        let new = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
-        assert_eq!(old.cost, new.cost);
-        assert_eq!(old.solution.cols(), new.solution.cols());
-        assert_eq!(old.lower_bound, new.lower_bound);
     }
 
     #[test]

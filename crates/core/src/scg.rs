@@ -11,17 +11,17 @@
 //! the residual matrix empties or the local bound proves no improvement is
 //! possible. Finally redundant columns are stripped.
 //!
-//! With [`ScgOptions::workers`] > 1 the restarts stage distributes runs
-//! (and disconnected partition blocks) over a scoped thread pool sharing
-//! one incumbent; see [`crate::restart`] for the engine and its
-//! determinism contract — the answer is identical for every worker count.
+//! With [`ScgOptions::workers`] > 1 the restarts stage runs restarts (or
+//! disconnected partition blocks) on a scoped thread pool; see
+//! [`crate::restart`] for the scheduler and its determinism contract —
+//! the answer is identical for every worker count.
 
 use crate::dual::dual_ascent;
 use crate::penalty::{dual_penalties, lagrangian_penalties};
 #[cfg(test)]
 use crate::request::SolveRequest;
 use crate::request::{CancelFlag, Preset, SolveError};
-use crate::restart::{restart_seed, BufferProbe, RestartCtx, SharedIncumbent};
+use crate::restart::{restart_seed, run_in_order, CertifiedAt, Incumbent, RestartCtx};
 use crate::subgradient::{
     certified, lb_ceil_of, subgradient_ascent_constrained_probed, subgradient_ascent_probed,
     SubgradientOptions, SubgradientResult,
@@ -32,11 +32,7 @@ use cover::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-#[cfg(feature = "legacy-api")]
-use ucp_telemetry::NoopProbe;
 use ucp_telemetry::{Event, FixReason, PenaltyKind, Phase, PhaseTimes, Probe};
 
 /// All tunables of the `ZDD_SCG` solver. Field defaults are the paper's
@@ -74,28 +70,20 @@ pub struct ScgOptions {
     /// Apply the partitioning reduction (§2): disconnected blocks of the
     /// cyclic core are solved independently and their bounds added.
     pub partition: bool,
-    /// Worker threads for the restarts stage (and for disconnected
-    /// partition blocks). `1` solves inline on the calling thread; `0`
-    /// means "all available parallelism". The answer is the same for
-    /// every value — see [`crate::restart`].
+    /// Worker threads for the restarts stage: the constructive runs of a
+    /// connected core, or the blocks of a partitioned one. The pool is
+    /// `min(workers, tasks pending)` — no size cutoff — so `1` (the
+    /// default) solves inline on the calling thread and `0` means "all
+    /// available parallelism". The answer is the same for every value —
+    /// see [`crate::restart`].
     pub workers: usize,
-    /// Serial-fallback threshold for the restarts stage: cores with fewer
-    /// nonzeros than this solve inline even when [`ScgOptions::workers`]
-    /// asks for a pool. Benchmarks on the snapshot suite measured the
-    /// pooled path at 0.99× (restarts) and 0.966× (partition blocks) with
-    /// 2 workers — on small sub-second cores thread spawn/join and the
-    /// shared-incumbent traffic cost more than the restarts themselves,
-    /// and on single-core hosts any pool is pure overhead. The restart
-    /// engine's determinism contract guarantees the answer is identical
-    /// either way, so this only moves the scheduling break-even point.
-    /// `0` disables the fallback (always honor `workers`).
-    pub parallel_nnz_threshold: usize,
     /// Emit an [`Event::Checkpoint`] (resumable solver state) after the
     /// initial subgradient ascent and after every `checkpoint_every`-th
     /// constructive run. `0` (the default) disables emission entirely —
-    /// the solve is bit-identical to one without the field. Checkpoints
-    /// are only emitted on the serial single-core restarts path and on
-    /// the multicover path; partitioned and pooled stages skip them.
+    /// the solve is bit-identical to one without the field. Pooled and
+    /// inline restarts emit the same checkpoints: the one after run `k`
+    /// waits for runs up to `k` and carries their best. Multicover solves
+    /// checkpoint per ascent; only partition blocks skip checkpoints.
     pub checkpoint_every: usize,
 }
 
@@ -114,24 +102,12 @@ impl Default for ScgOptions {
             time_limit: None,
             partition: true,
             workers: 1,
-            parallel_nnz_threshold: 16_384,
             checkpoint_every: 0,
         }
     }
 }
 
 impl ScgOptions {
-    /// A cheaper preset for tests and very large sweeps: single run,
-    /// shorter subgradient phases.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Preset::Fast.options()` (see `ucp_core::Preset`)")]
-    pub fn fast() -> Self {
-        Preset::Fast.options()
-    }
-
     /// The option set of a named [`Preset`] — shorthand for
     /// [`Preset::options`].
     pub fn preset(preset: Preset) -> Self {
@@ -157,11 +133,11 @@ pub struct ScgOutcome {
     pub iterations: usize,
     /// Total subgradient iterations across all phases and workers.
     pub subgradient_iterations: usize,
-    /// Pool size scheduled for the restarts stage (or the partition-block
-    /// pool) — the decision after the
-    /// [`ScgOptions::parallel_nnz_threshold`] serial fallback. `1` means
-    /// the stage ran inline: requested serially, solved before any
-    /// restart, or the core fell below the threshold.
+    /// Pool size the restarts stage ran on: `min(workers, tasks pending)`,
+    /// where the tasks are the constructive runs still to go, or the
+    /// blocks of a partitioned core. `1` means the stage ran inline:
+    /// requested serially, one task left, or the solve finished before
+    /// any restart.
     pub restart_workers: usize,
     /// Cyclic-core computation time (`CC(s)` column of Tables 1–2).
     pub cc_time: Duration,
@@ -238,9 +214,10 @@ struct RunReport {
     /// Wall-clock seconds of those ascents (credited to the subgradient
     /// phase in the breakdown, not to the constructive phase).
     sub_seconds: f64,
-    /// Best complete cover cost the run produced (`+∞` if it aborted
-    /// without completing one). Doubles as the run's own pruning bound.
-    cost: f64,
+    /// Best complete cover the run produced (cost `+∞` if it aborted
+    /// without completing one). Its cost doubles as the run's own pruning
+    /// bound.
+    best: Incumbent,
 }
 
 /// What the restarts stage of one core solve spent.
@@ -277,15 +254,18 @@ struct CoreOutcome {
     constructive_seconds: f64,
     /// Constructive runs skipped because a checkpoint accounted for them.
     resumed: usize,
+    /// Pool size of the restarts stage (`1` when it ran inline or not at
+    /// all).
+    workers: usize,
 }
 
 /// Checkpoint context for the restarts stage of the single connected
 /// core: emission cadence, the solve's start instant (checkpoints carry
 /// elapsed wall clock) and a validated checkpoint to resume from.
 ///
-/// Only the unpartitioned path gets one — partition blocks and pooled
-/// block solves pass `None` and neither emit nor resume, keeping the
-/// checkpoint's core fingerprint unambiguous.
+/// Only the unpartitioned path gets one — partition blocks pass `None`
+/// and neither emit nor resume, keeping the checkpoint's core fingerprint
+/// unambiguous.
 struct CkptCtx<'c> {
     /// Emit after every `every`-th constructive run (`0` = never).
     every: usize,
@@ -302,37 +282,26 @@ impl CkptCtx<'_> {
         &self,
         ae: &CoverMatrix,
         core_lb: f64,
-        incumbent: &SharedIncumbent,
+        best: &Incumbent,
         next_run: usize,
         lambda: &[f64],
         probe: &mut P,
     ) {
-        let (cost, solution) = incumbent.best();
         probe.record(Event::Checkpoint {
             next_run,
             core_rows: ae.num_rows(),
             core_cols: ae.num_cols(),
             lower_bound: core_lb,
-            incumbent_cost: cost,
+            incumbent_cost: best.cost,
             elapsed_seconds: self.start.elapsed().as_secs_f64(),
             lambda: lambda.to_vec(),
-            incumbent: solution.map(|s| s.cols().iter().map(|&c| c as u32).collect()),
+            incumbent: best
+                .solution
+                .as_ref()
+                .map(|s| s.cols().iter().map(|&c| c as u32).collect()),
             multicover: false,
         });
     }
-}
-
-/// A partition block's result slot: its core outcome plus the telemetry
-/// its worker buffered, claimed by the merge in block order.
-type BlockSlot = Mutex<Option<(CoreOutcome, Vec<Event>)>>;
-
-/// One restart's buffered telemetry, kept until the merge in restart order.
-struct RestartRecord {
-    run: usize,
-    worker: usize,
-    wall_seconds: f64,
-    report: RunReport,
-    events: Vec<Event>,
 }
 
 impl Scg {
@@ -356,68 +325,9 @@ impl Scg {
         }
     }
 
-    /// Pool size for the restarts stage on a core with `core_nnz`
-    /// nonzeros: the requested workers, collapsed to `1` when the core is
-    /// below [`ScgOptions::parallel_nnz_threshold`] (the measured
-    /// break-even for pool overhead). Deterministic in the instance, so
-    /// the recorded decision is reproducible.
-    fn restart_pool(&self, core_nnz: usize) -> usize {
-        let w = self.effective_workers();
-        let th = self.opts.parallel_nnz_threshold;
-        if w > 1 && th != 0 && core_nnz < th {
-            1
-        } else {
-            w
-        }
-    }
-
-    /// Solves the unate covering instance `m`.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Scg::run` with a `SolveRequest` (see the README migration table)")]
-    pub fn solve(&self, m: &CoverMatrix) -> ScgOutcome {
-        self.solve_impl(m, None, None, &mut NoopProbe)
-            .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// `solve` with a telemetry probe observing the pipeline.
-    ///
-    /// The probe receives [`Event::PhaseBegin`]/[`Event::PhaseEnd`] pairs for
-    /// every phase of Fig. 2 (implicit and explicit reduction, partitioning,
-    /// each subgradient ascent — including the warm-started ones nested in
-    /// constructive runs — the constructive phase, and postprocessing), one
-    /// [`Event::SubgradientIter`] per ascent iteration, and, inside the
-    /// constructive runs, [`Event::RestartBegin`]/[`Event::RestartEnd`],
-    /// [`Event::ColumnFix`] and [`Event::PenaltyElim`] events. Column indices
-    /// in `ColumnFix` events refer to the cyclic core.
-    ///
-    /// The probe never crosses threads: with `workers > 1`, restarts (and
-    /// partition blocks) record into per-worker buffers that are replayed
-    /// into this probe in restart order (block order for blocks) after the
-    /// pool joins, so a parallel trace reads like a sequential one apart
-    /// from the `worker` tags on restart events.
-    ///
-    /// With [`NoopProbe`] (what `solve` passes) all instrumentation
-    /// monomorphises away; the phase breakdown in [`ScgOutcome::phase_times`]
-    /// is filled in either way.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `Scg::run` with `SolveRequest::for_matrix(m).probe(&mut p)` \
-                (see the README migration table)"
-    )]
-    pub fn solve_with_probe<P: Probe>(&self, m: &CoverMatrix, probe: &mut P) -> ScgOutcome {
-        self.solve_impl(m, None, None, probe)
-            .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// The one solve pipeline behind [`Scg::run`] and all deprecated
-    /// entrypoints: reduce once, partition, then the restarts stage, with
-    /// one [`Halt`] (deadline + cancellation) spanning everything.
+    /// The unate solve pipeline behind [`Scg::run`]: reduce once,
+    /// partition, then the restarts stage, with one [`Halt`] (deadline +
+    /// cancellation) spanning everything.
     pub(crate) fn solve_impl<P: Probe>(
         &self,
         m: &CoverMatrix,
@@ -541,7 +451,7 @@ impl Scg {
             integer_costs,
             &halt,
             0,
-            false,
+            self.effective_workers(),
             Some(&ckpt_ctx),
             &mut *probe,
         );
@@ -573,7 +483,7 @@ impl Scg {
             infeasible: false,
             iterations: co.iterations,
             subgradient_iterations: co.sub_iters,
-            restart_workers: self.restart_pool(ae.nnz()).min(self.opts.num_iter.max(1)),
+            restart_workers: co.workers,
             cc_time: core_res.cc_time,
             total_time: start.elapsed(),
             core_rows: ae.num_rows(),
@@ -811,9 +721,8 @@ impl Scg {
     /// fixpoint (no reduction rule crosses disjoint components), so each
     /// block goes straight to its ascent + restarts — the cyclic core is
     /// computed exactly once per solve and the ZDD counters describe that
-    /// single computation. With `workers > 1` the blocks themselves solve
-    /// concurrently (restarts inside each block then run inline), their
-    /// telemetry buffered per block and replayed in block order.
+    /// single computation. The blocks are the scheduled tasks (restarts
+    /// inside each block then run inline), merged in block order.
     #[allow(clippy::too_many_arguments)]
     fn solve_blocks<P: Probe>(
         &self,
@@ -830,70 +739,23 @@ impl Scg {
         let mut lower_bound = fixed_cost;
         let mut iterations = 0usize;
         let mut sub_iters = 0usize;
-        // The serial-fallback decision looks at the whole core: if it is
-        // too small to amortise a pool, its blocks certainly are.
-        let pool = self.restart_pool(core_res.core.nnz());
-        let pooled = pool > 1 && blocks.len() > 1;
-        let restart_workers = if pooled { pool.min(blocks.len()) } else { 1 };
-
-        let outcomes: Vec<CoreOutcome> = if pooled {
-            let enabled = probe.enabled();
-            let next = AtomicUsize::new(0);
-            let slots: Vec<BlockSlot> = blocks.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for w in 0..pool.min(blocks.len()) {
-                    let next = &next;
-                    let slots = &slots;
-                    let blocks = &blocks;
-                    scope.spawn(move || loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks.len() {
-                            break;
-                        }
-                        let block = &blocks[b];
-                        let mut buf = BufferProbe::new(enabled);
-                        let co = self.solve_core(
-                            &block.matrix,
-                            block.matrix.integer_costs(),
-                            halt,
-                            w,
-                            true,
-                            None,
-                            &mut buf,
-                        );
-                        *slots[b].lock().expect("block slot lock") = Some((co, buf.into_events()));
-                    });
+        let mut outcomes = Vec::with_capacity(blocks.len());
+        let restart_workers = run_in_order(
+            self.effective_workers(),
+            0..blocks.len(),
+            probe,
+            |b, worker, probe| {
+                let block = &blocks[b].matrix;
+                Some(self.solve_core(block, block.integer_costs(), halt, worker, 1, None, probe))
+            },
+            |_, co, events, probe| {
+                for event in events {
+                    probe.record(event);
                 }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    let (co, events) = slot
-                        .into_inner()
-                        .expect("block slot lock")
-                        .expect("every block is solved");
-                    for event in events {
-                        probe.record(event);
-                    }
-                    co
-                })
-                .collect()
-        } else {
-            blocks
-                .iter()
-                .map(|block| {
-                    self.solve_core(
-                        &block.matrix,
-                        block.matrix.integer_costs(),
-                        halt,
-                        0,
-                        false,
-                        None,
-                        &mut *probe,
-                    )
-                })
-                .collect()
-        };
+                outcomes.push(co);
+                true
+            },
+        );
 
         for (block, co) in blocks.iter().zip(&outcomes) {
             phases.add(Phase::Subgradient, co.sub_seconds);
@@ -944,11 +806,11 @@ impl Scg {
     }
 
     /// Restarts stage for one connected, fully-reduced core: the initial
-    /// subgradient ascent (run once) followed by the `NumIter` restarts.
+    /// subgradient ascent (run once) followed by the `NumIter` restarts on
+    /// a pool of up to `workers`.
     ///
-    /// `worker_tag` labels this core's restart events when they run inline;
-    /// `force_serial` keeps restarts on the calling thread (used when the
-    /// caller already parallelised across partition blocks).
+    /// `worker_tag` is added to the pool slot in this core's restart
+    /// events (a partition block passes the slot it runs on).
     #[allow(clippy::too_many_arguments)]
     fn solve_core<P: Probe>(
         &self,
@@ -956,7 +818,7 @@ impl Scg {
         integer_costs: bool,
         halt: &Halt,
         worker_tag: usize,
-        force_serial: bool,
+        workers: usize,
         ckpt: Option<&CkptCtx>,
         probe: &mut P,
     ) -> CoreOutcome {
@@ -979,51 +841,52 @@ impl Scg {
         } else {
             sub0.lb
         };
-        let incumbent = SharedIncumbent::new();
+        let mut best = Incumbent::new();
         let mut base_ub = f64::INFINITY;
         if let Some(sol) = sub0.best_solution.clone() {
-            // Index 0: the initial ascent's heuristic cover, so every
-            // restart loses ties against it. `offer` returns the *offered*
-            // cover's irredundant cost, so base_ub stays the initial
-            // ascent's value even when a resumed checkpoint inserts a
-            // better incumbent below — the restarts' deterministic pruning
-            // bound must not depend on how often the solve was
-            // interrupted.
-            base_ub = incumbent.offer(ae, sol, 0);
+            // Offered first, so every restart loses ties against it.
+            // `offer` returns the *offered* cover's irredundant cost, so
+            // base_ub stays the initial ascent's value even when a resumed
+            // checkpoint inserts a better incumbent below — the restarts'
+            // deterministic pruning bound must not depend on how often
+            // the solve was interrupted.
+            base_ub = best.offer(ae, sol);
         }
         let mut first_run = 1usize;
         let mut resumed = 0usize;
         if let Some(ck) = ckpt.and_then(|c| c.resume) {
             if let Some(cols) = &ck.incumbent {
-                // Also restart index 0: ties against the remaining runs
+                // Also ahead of every remaining run: ties against them
                 // resolve exactly as if this cover predated all of them —
                 // which it does.
-                incumbent.offer(ae, Solution::from_cols(cols.clone()), 0);
+                best.offer(ae, Solution::from_cols(cols.clone()));
             }
             first_run = ck.next_run.clamp(1, self.opts.num_iter + 1);
             resumed = first_run - 1;
         }
         if let Some(c) = ckpt.filter(|c| c.every > 0) {
-            c.emit(ae, core_lb, &incumbent, first_run, &sub0.lambda, probe);
+            c.emit(ae, core_lb, &best, first_run, &sub0.lambda, probe);
         }
 
         let mut restarts = RestartsResult::default();
+        let mut pool = 1;
         // A cover at the bound floor cannot be improved: skip the restarts.
         if base_ub > core_lb + 1e-9 {
             probe.record(Event::PhaseBegin {
                 phase: Phase::Constructive,
             });
-            restarts = self.run_restarts(
+            pool = self.run_restarts(
                 ae,
                 &sub0,
                 core_lb,
                 base_ub,
-                first_run,
+                first_run..self.opts.num_iter + 1,
                 halt,
                 worker_tag,
-                force_serial,
+                workers,
                 ckpt,
-                &incumbent,
+                &mut best,
+                &mut restarts,
                 probe,
             );
             probe.record(Event::PhaseEnd {
@@ -1032,23 +895,26 @@ impl Scg {
             });
         }
 
-        let (_cost, solution) = incumbent.into_best();
         CoreOutcome {
-            solution,
+            solution: best.solution,
             lb: core_lb,
             iterations: restarts.iterations,
             sub_iters: sub0.iterations + restarts.sub_iters,
             sub_seconds: sub_time + restarts.sub_seconds,
             constructive_seconds: restarts.constructive_seconds,
             resumed,
+            workers: pool,
         }
     }
 
-    /// Schedules the `NumIter` constructive runs, inline or across a
-    /// scoped worker pool. Either way restart `k` runs with the seed
-    /// `restart_seed(opts.seed, k)` and the deterministic pruning bound
-    /// described in [`crate::restart`], so the set of offers — and hence
-    /// the answer — is the same.
+    /// Schedules the constructive `runs` on [`run_in_order`] and merges
+    /// them in run order into `best` and `result`; returns the pool size.
+    /// Restart `k` runs with the seed `restart_seed(opts.seed, k)` and the
+    /// deterministic pruning bound described in [`crate::restart`], so
+    /// every pool size sees the same runs. The first run that does not
+    /// start (the solve halted, or a lower run certified) or that a lower
+    /// run's certificate supersedes ends the stage, as it would end an
+    /// inline loop.
     #[allow(clippy::too_many_arguments)]
     fn run_restarts<P: Probe>(
         &self,
@@ -1056,110 +922,55 @@ impl Scg {
         sub0: &SubgradientResult,
         core_lb: f64,
         base_ub: f64,
-        first_run: usize,
+        runs: std::ops::Range<usize>,
         halt: &Halt,
         worker_tag: usize,
-        force_serial: bool,
+        workers: usize,
         ckpt: Option<&CkptCtx>,
-        incumbent: &SharedIncumbent,
+        best: &mut Incumbent,
+        result: &mut RestartsResult,
         probe: &mut P,
-    ) -> RestartsResult {
-        let num_iter = self.opts.num_iter;
-        let pool = if force_serial {
-            1
-        } else {
-            self.restart_pool(ae.nnz()).min(num_iter.max(1))
-        };
-        let mut result = RestartsResult::default();
-
-        if pool <= 1 {
-            for run in first_run..=num_iter {
-                if halt.reached() || incumbent.superseded(run) {
-                    break;
+    ) -> usize {
+        let certified = CertifiedAt::new();
+        run_in_order(
+            workers,
+            runs,
+            probe,
+            |run, worker, probe| {
+                if halt.reached() || certified.superseded(run) {
+                    return None;
                 }
-                probe.record(Event::RestartBegin {
-                    run,
-                    worker: worker_tag,
-                });
+                let worker = worker_tag + worker;
+                probe.record(Event::RestartBegin { run, worker });
                 let run_start = Instant::now();
                 let report =
-                    self.restart_run(ae, sub0, run, core_lb, base_ub, halt, incumbent, probe);
-                let wall = run_start.elapsed().as_secs_f64();
+                    self.restart_run(ae, sub0, run, core_lb, base_ub, halt, &certified, probe);
+                Some((report, worker, run_start.elapsed().as_secs_f64()))
+            },
+            |run, (report, worker, wall), events, probe| {
+                if certified.superseded(run) {
+                    return false;
+                }
+                for event in events {
+                    probe.record(event);
+                }
+                result.absorb(&report, wall);
+                let cost = report.best.cost;
+                best.merge(report.best);
                 if probe.enabled() {
                     probe.record(Event::RestartEnd {
                         run,
-                        worker: worker_tag,
-                        cost: report.cost,
-                        best_cost: incumbent.best_cost(),
+                        worker,
+                        cost,
+                        best_cost: best.cost,
                     });
                 }
-                result.absorb(&report, wall);
                 if let Some(c) = ckpt.filter(|c| c.every > 0 && run % c.every == 0) {
-                    c.emit(ae, core_lb, incumbent, run + 1, &sub0.lambda, probe);
+                    c.emit(ae, core_lb, best, run + 1, &sub0.lambda, probe);
                 }
-            }
-            return result;
-        }
-
-        // Pooled path: workers pull restart indices from a shared counter
-        // and buffer their events; buffers are replayed in restart order
-        // afterwards so the merged trace is schedule-independent apart
-        // from the worker tags.
-        let enabled = probe.enabled();
-        let next = AtomicUsize::new(first_run);
-        let records: Mutex<Vec<RestartRecord>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for worker in 0..pool {
-                let next = &next;
-                let records = &records;
-                scope.spawn(move || loop {
-                    let run = next.fetch_add(1, Ordering::Relaxed);
-                    if run > num_iter || halt.reached() || incumbent.superseded(run) {
-                        break;
-                    }
-                    let mut buf = BufferProbe::new(enabled);
-                    let run_start = Instant::now();
-                    let report = self
-                        .restart_run(ae, sub0, run, core_lb, base_ub, halt, incumbent, &mut buf);
-                    records
-                        .lock()
-                        .expect("restart records lock")
-                        .push(RestartRecord {
-                            run,
-                            worker,
-                            wall_seconds: run_start.elapsed().as_secs_f64(),
-                            report,
-                            events: buf.into_events(),
-                        });
-                });
-            }
-        });
-
-        let mut records = records.into_inner().expect("restart records lock");
-        records.sort_by_key(|r| r.run);
-        // Replay in restart order, reconstructing the best-so-far prefix so
-        // `RestartEnd::best_cost` is monotone exactly as in a serial trace.
-        let mut best = base_ub;
-        for rec in records {
-            best = best.min(rec.report.cost);
-            if enabled {
-                probe.record(Event::RestartBegin {
-                    run: rec.run,
-                    worker: rec.worker,
-                });
-                for event in rec.events {
-                    probe.record(event);
-                }
-                probe.record(Event::RestartEnd {
-                    run: rec.run,
-                    worker: rec.worker,
-                    cost: rec.report.cost,
-                    best_cost: best,
-                });
-            }
-            result.absorb(&rec.report, rec.wall_seconds);
-        }
-        result
+                true
+            },
+        )
     }
 
     /// Runs constructive restart `run` (1-based) with its derived seed and
@@ -1173,7 +984,7 @@ impl Scg {
         core_lb: f64,
         base_ub: f64,
         halt: &Halt,
-        incumbent: &SharedIncumbent,
+        certified: &CertifiedAt,
         probe: &mut P,
     ) -> RunReport {
         let best_col = if run == 1 {
@@ -1183,7 +994,7 @@ impl Scg {
         };
         let mut rng = StdRng::seed_from_u64(restart_seed(self.opts.seed, run));
         let ctx = RestartCtx {
-            incumbent,
+            certified,
             restart: run,
             base_ub,
             core_lb,
@@ -1192,9 +1003,8 @@ impl Scg {
         self.constructive_run(ae, sub0, best_col, &mut rng, &ctx, probe)
     }
 
-    /// One constructive run over the saved cyclic core `ae`. Offers covers
-    /// to the shared incumbent; reports the subgradient effort spent and
-    /// the best cover cost this run produced.
+    /// One constructive run over the saved cyclic core `ae`. Reports the
+    /// subgradient effort spent and the best cover this run produced.
     fn constructive_run<P: Probe>(
         &self,
         ae: &CoverMatrix,
@@ -1214,7 +1024,7 @@ impl Scg {
         let mut report = RunReport {
             sub_iters: 0,
             sub_seconds: 0.0,
-            cost: f64::INFINITY,
+            best: Incumbent::new(),
         };
         let max_rounds = ae.num_cols() + 2;
 
@@ -1227,7 +1037,7 @@ impl Scg {
             // The pruning bound is deterministic — the initial incumbent
             // and this run's own offers, never a sibling's (see
             // crate::restart for why that distinction is load-bearing).
-            let local_ub = ctx.path_ub(report.cost) - chosen_cost;
+            let local_ub = ctx.path_ub(report.best.cost) - chosen_cost;
             // This branch cannot beat the bound: stop (the pseudocode's
             // `z_best ≤ ⌈LB⌉` exit).
             if sub.lb >= local_ub - 1e-9 {
@@ -1344,8 +1154,7 @@ impl Scg {
             cur = next;
 
             if cur.num_rows() == 0 {
-                let offered = ctx.offer(ae, Solution::from_cols(chosen));
-                report.cost = report.cost.min(offered);
+                ctx.offer(ae, Solution::from_cols(chosen), &mut report.best);
                 return report;
             }
 
@@ -1371,8 +1180,7 @@ impl Scg {
             if let Some(part) = &sub.best_solution {
                 let mut full = Solution::from_cols(chosen.clone());
                 full.extend(part.cols().iter().map(|&j| cur_to_core[j]));
-                let offered = ctx.offer(ae, full);
-                report.cost = report.cost.min(offered);
+                ctx.offer(ae, full, &mut report.best);
             }
         }
         report
@@ -1553,92 +1361,18 @@ mod partition_tests {
     fn concurrent_blocks_match_serial_blocks() {
         let m = two_cycles(9);
         let serial = run_default(&m);
-        // threshold 0: force the block pool even on this tiny core so the
-        // concurrent path stays under test.
         let parallel = run_opts(
             &m,
             ScgOptions {
                 workers: 4,
-                parallel_nnz_threshold: 0,
                 ..ScgOptions::default()
             },
         );
         assert_eq!(serial.cost, parallel.cost);
         assert_eq!(serial.solution.cols(), parallel.solution.cols());
         assert_eq!(serial.lower_bound, parallel.lower_bound);
-        assert!(parallel.restart_workers > 1, "block pool should engage");
+        assert_eq!(parallel.restart_workers, 2, "one worker per block");
         assert_eq!(serial.restart_workers, 1);
-    }
-}
-
-impl Scg {
-    /// Solves `m` with the shared-core restart engine spread over `workers`
-    /// threads — shorthand for setting [`ScgOptions::workers`].
-    ///
-    /// Reductions, partitioning and the initial subgradient ascent run
-    /// once; only the `NumIter` constructive restarts (and disconnected
-    /// partition blocks) are distributed. All workers share one incumbent,
-    /// stop as soon as any restart certifies `cost ≤ ⌈LB⌉`, and their
-    /// phase/iteration counters are aggregated, so the outcome — cost,
-    /// solution, bound, and work accounting — is exactly the single-worker
-    /// outcome, only faster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` (pass [`ScgOptions::workers`]` = 0` for
-    /// "all cores" instead, where the meaning is unambiguous).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cover::CoverMatrix;
-    /// use ucp_core::{Scg, SolveRequest};
-    ///
-    /// let m = CoverMatrix::from_rows(
-    ///     5,
-    ///     vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-    /// );
-    /// let out = Scg::run(SolveRequest::for_matrix(&m).workers(4)).unwrap();
-    /// assert_eq!(out.cost, 3.0);
-    /// ```
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Scg::run` with `SolveRequest::for_matrix(m).workers(n)`")]
-    pub fn solve_parallel(&self, m: &CoverMatrix, workers: usize) -> ScgOutcome {
-        assert!(workers > 0, "need at least one worker");
-        Scg::new(ScgOptions {
-            workers,
-            ..self.opts
-        })
-        .solve_impl(m, None, None, &mut NoopProbe)
-        .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// `solve_parallel` with a telemetry probe: the parallel path
-    /// is fully observable (worker-tagged restart events, merged in
-    /// restart order).
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `Scg::run` with `SolveRequest::for_matrix(m).workers(n).probe(&mut p)`"
-    )]
-    pub fn solve_parallel_with_probe<P: Probe>(
-        &self,
-        m: &CoverMatrix,
-        workers: usize,
-        probe: &mut P,
-    ) -> ScgOutcome {
-        assert!(workers > 0, "need at least one worker");
-        Scg::new(ScgOptions {
-            workers,
-            ..self.opts
-        })
-        .solve_impl(m, None, None, probe)
-        .unwrap_or_else(|e| panic!("solve failed: {e}"))
     }
 }
 
@@ -1646,15 +1380,11 @@ impl Scg {
 mod parallel_tests {
     use super::*;
 
-    /// Worker-count runs with the serial fallback disabled: these tests
-    /// exist to exercise the pooled machinery, which the nnz threshold
-    /// would otherwise bypass on such tiny fixtures.
     fn run_workers(m: &CoverMatrix, workers: usize) -> ScgOutcome {
         run_opts(
             m,
             ScgOptions {
                 workers,
-                parallel_nnz_threshold: 0,
                 ..ScgOptions::default()
             },
         )
@@ -1704,91 +1434,11 @@ mod parallel_tests {
             &m,
             ScgOptions {
                 workers: 0,
-                parallel_nnz_threshold: 0,
                 ..ScgOptions::default()
             },
         );
         let base = run_default(&m);
         assert_eq!(out.cost, base.cost);
         assert_eq!(out.solution.cols(), base.solution.cols());
-    }
-
-    #[test]
-    fn small_cores_fall_back_to_serial_restarts() {
-        // Regression for the measured parallel slowdown (0.99×/0.966× at 2
-        // workers on sub-second instances): with the default threshold, a
-        // tiny core must ignore the requested pool — identical answer,
-        // `restart_workers` records the decision.
-        let m = CoverMatrix::from_rows(11, (0..11).map(|i| vec![i, (i + 1) % 11]).collect());
-        let fallback = run_opts(
-            &m,
-            ScgOptions {
-                workers: 4,
-                ..ScgOptions::default()
-            },
-        );
-        assert_eq!(fallback.restart_workers, 1, "11 nnz ≪ default threshold");
-        let pooled = run_workers(&m, 4); // threshold 0 forces the pool
-        assert!(pooled.restart_workers > 1);
-        assert_eq!(fallback.cost, pooled.cost);
-        assert_eq!(fallback.solution.cols(), pooled.solution.cols());
-        assert_eq!(fallback.lower_bound, pooled.lower_bound);
-    }
-
-    #[test]
-    fn restart_pool_threshold_logic() {
-        let solver = |workers, threshold| {
-            Scg::new(ScgOptions {
-                workers,
-                parallel_nnz_threshold: threshold,
-                ..ScgOptions::default()
-            })
-        };
-        // Below the threshold: collapse to 1. At or above: honor workers.
-        assert_eq!(solver(4, 100).restart_pool(99), 1);
-        assert_eq!(solver(4, 100).restart_pool(100), 4);
-        // Threshold 0 disables the fallback entirely.
-        assert_eq!(solver(4, 0).restart_pool(1), 4);
-        // A serial request is untouched by the threshold.
-        assert_eq!(solver(1, 100).restart_pool(5), 1);
-    }
-}
-
-#[cfg(all(test, feature = "legacy-api"))]
-mod legacy_shim_tests {
-    // This module deliberately exercises the feature-gated deprecated
-    // shims so they stay equivalent to `Scg::run` until removal.
-    #![allow(deprecated)]
-    use super::*;
-
-    #[test]
-    fn solve_parallel_shim_matches_the_request_route() {
-        let m = CoverMatrix::from_rows(9, (0..9).map(|i| vec![i, (i + 1) % 9]).collect());
-        let shim = Scg::with_defaults().solve_parallel(&m, 4);
-        let new = run_opts(
-            &m,
-            ScgOptions {
-                workers: 4,
-                ..ScgOptions::default()
-            },
-        );
-        assert_eq!(shim.cost, new.cost);
-        assert_eq!(shim.solution.cols(), new.solution.cols());
-        assert_eq!(shim.lower_bound, new.lower_bound);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let m = CoverMatrix::from_rows(1, vec![vec![0]]);
-        let _ = Scg::with_defaults().solve_parallel(&m, 0);
-    }
-
-    #[test]
-    fn deprecated_fast_shim_matches_the_preset() {
-        let shim = ScgOptions::fast();
-        let preset = Preset::Fast.options();
-        assert_eq!(shim.num_iter, preset.num_iter);
-        assert_eq!(shim.subgradient.max_iters, preset.subgradient.max_iters);
     }
 }

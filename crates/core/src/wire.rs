@@ -456,10 +456,6 @@ impl JobSpec {
             "fix_mu_threshold",
         )?;
         check(opts.dual_pen_limit == base.dual_pen_limit, "dual_pen_limit")?;
-        check(
-            opts.parallel_nnz_threshold == base.parallel_nnz_threshold,
-            "parallel_nnz_threshold",
-        )?;
         check(opts.core.max_rows == base.core.max_rows, "core.max_rows")?;
         check(opts.core.max_cols == base.core.max_cols, "core.max_cols")?;
         let (s, b) = (&opts.subgradient, &base.subgradient);

@@ -95,6 +95,42 @@ fn journal_records_the_full_job_lifecycle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Pooled restarts checkpoint exactly like inline ones: a job asking for
+/// two workers journals one checkpoint per run, as the serial job does.
+#[test]
+fn pooled_jobs_journal_every_checkpoint() {
+    let dir = tmp_dir("pooled");
+    let (engine, _) = start_journaled(&dir);
+    let m = Arc::new(sts9());
+    let mut pooled_spec = JobSpec::new(Preset::Paper);
+    pooled_spec.workers = Some(2);
+    let serial = engine
+        .submit(JobSpec::new(Preset::Paper).to_request(Arc::clone(&m)))
+        .expect("submit");
+    let pooled = engine
+        .submit(pooled_spec.to_request(Arc::clone(&m)))
+        .expect("submit");
+    let (serial_id, pooled_id) = (serial.id().0, pooled.id().0);
+    let serial = serial.wait().expect("serial job completes");
+    let pooled = pooled.wait().expect("pooled job completes");
+    engine.shutdown();
+    assert_eq!(serial.restart_workers, 1);
+    assert_eq!(pooled.restart_workers, 2);
+    assert_eq!(pooled.cost, serial.cost);
+
+    let replay = read_journal(&dir).unwrap();
+    let checkpoints = |id| {
+        replay
+            .records
+            .iter()
+            .filter(|r| matches!(r, Record::Checkpoint { job, .. } if *job == id))
+            .count()
+    };
+    assert!(checkpoints(serial_id) > 1, "one checkpoint per run");
+    assert_eq!(checkpoints(pooled_id), checkpoints(serial_id));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn recover_reenqueues_incomplete_jobs_once() {
     let dir = tmp_dir("recover");

@@ -110,12 +110,6 @@ impl Default for Zdd {
 }
 
 impl Zdd {
-    /// Creates an empty manager containing only the two terminal nodes.
-    #[deprecated(since = "0.5.0", note = "use `ZddOptions::new().build()` instead")]
-    pub fn new() -> Self {
-        ZddOptions::default().build()
-    }
-
     /// Constructs a manager from validated options ([`ZddOptions::build`]
     /// is the public entry).
     pub(crate) fn with_options(opts: ZddOptions) -> Self {

@@ -3,9 +3,8 @@
 //! The kernel's throughput and memory behaviour are governed by three
 //! structures — the open-addressing unique table, the fixed-size
 //! generational computed cache, and the mark-and-compact garbage
-//! collector. `ZddOptions` names their tunables and is the only
-//! supported way to construct a manager; the old `Zdd::new()` path is a
-//! deprecated shim over [`ZddOptions::build`] at default settings.
+//! collector. `ZddOptions` names their tunables and is the only way to
+//! construct a manager (`Zdd::default()` is `ZddOptions::default().build()`).
 //!
 //! None of the tunables affect *what* a manager computes — families,
 //! counts and enumeration orders are identical at every setting — only
@@ -228,13 +227,5 @@ mod tests {
             .build();
         let f = z.from_sets([vec![Var(0), Var(1)], vec![Var(2)]]);
         assert_eq!(z.count(f), 2);
-    }
-
-    #[test]
-    fn default_build_matches_legacy_new() {
-        #[allow(deprecated)]
-        let a = Zdd::new();
-        let b = ZddOptions::default().build();
-        assert_eq!(a.len(), b.len());
     }
 }

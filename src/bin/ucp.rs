@@ -35,11 +35,12 @@
 //! additionally writes folded-stack lines (`solve;subgradient 123456`)
 //! consumable by standard flamegraph tooling.
 //!
-//! `-j N` / `--workers N` spreads the constructive restarts (and
-//! disconnected partition blocks) over `N` threads sharing one incumbent;
-//! `-j 0` uses all cores. The answer is identical for every `N` — only
-//! the wall clock changes. Traces stay complete: restart events carry a
-//! `worker` tag and are merged in restart order.
+//! `-j N` / `--workers N` runs the constructive restarts (or the
+//! disconnected partition blocks) on `min(N, restarts)` threads, whatever
+//! the instance's size; `-j 0` uses all cores. The answer is identical for
+//! every `N` — only the wall clock changes. Traces and checkpoints stay
+//! complete: restart events carry a `worker` tag and are merged in restart
+//! order.
 //!
 //! `ucp batch <easy|difficult|challenging|all>` runs every instance of a
 //! suite as one job each through the `ucp_engine` worker pool: `-j N` sets

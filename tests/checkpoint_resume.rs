@@ -129,6 +129,35 @@ fn resume_works_under_parallel_restarts() {
     assert_eq!(parallel.resumed, serial.resumed);
 }
 
+/// Pooled restarts emit the inline checkpoint sequence: the checkpoint
+/// after run `k` waits for runs up to `k` and carries their best.
+#[test]
+fn pooled_restarts_emit_the_inline_checkpoints() {
+    let m = sts9();
+    let run = |workers| {
+        let mut ckpts = Vec::new();
+        let out = Scg::run(
+            SolveRequest::for_matrix(&m)
+                .preset(Preset::Thorough)
+                .workers(workers)
+                .checkpoint_every(1)
+                .checkpoint_sink(|c| ckpts.push(c.clone())),
+        )
+        .unwrap();
+        // Wall clock is the one field allowed to differ.
+        for c in &mut ckpts {
+            c.elapsed_seconds = 0.0;
+        }
+        (out, ckpts)
+    };
+    let (serial, serial_ckpts) = run(1);
+    let (pooled, pooled_ckpts) = run(2);
+    assert_eq!(serial.restart_workers, 1);
+    assert_eq!(pooled.restart_workers, 2);
+    assert!(serial_ckpts.len() > 2);
+    assert_eq!(pooled_ckpts, serial_ckpts);
+}
+
 #[test]
 fn checkpoints_round_trip_through_json() {
     let (_, ckpts) = solve_with_checkpoints(&sts9(), Preset::Fast);

@@ -1,13 +1,17 @@
-//! Integration tests for the shared-core parallel restart engine: the
-//! answer must be byte-identical for every worker count, the reduce
-//! stage must run exactly once per solve, telemetry must merge cleanly
-//! across workers, and one `time_limit` deadline must span all
-//! partition blocks.
+//! Integration tests for the restart scheduler: the answer must be
+//! byte-identical for every worker count, the reduce stage must run
+//! exactly once per solve, telemetry must merge cleanly across workers,
+//! and one `time_limit` deadline must span all partition blocks.
 
 use std::time::{Duration, Instant};
 use ucp::cover::CoverMatrix;
-use ucp::ucp_core::{Scg, ScgOptions, SolveRequest};
+use ucp::ucp_core::{Preset, Scg, ScgOptions, SolveRequest};
 use ucp::ucp_telemetry::{Event, Phase, RecordingProbe};
+use ucp::workloads::suite;
+
+/// Worker counts every scheduler test runs at: inline, a pool smaller
+/// than, close to and larger than the task count.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// The Steiner triple system STS(9) as a point-cover problem. Its
 /// Lagrangian bound (3) sits strictly below the optimum cover (5), so
@@ -51,9 +55,6 @@ fn opts_with(workers: usize, num_iter: usize) -> ScgOptions {
     ScgOptions {
         workers,
         num_iter,
-        // These fixtures are tiny by design; disable the small-core serial
-        // fallback so the pooled machinery is what actually runs.
-        parallel_nnz_threshold: 0,
         ..ScgOptions::default()
     }
 }
@@ -64,10 +65,12 @@ fn run_with(m: &CoverMatrix, workers: usize, num_iter: usize) -> ucp::ucp_core::
 
 #[test]
 fn worker_count_never_changes_the_answer() {
-    for m in [sts9(), sts9_blocks(3)] {
+    // The tasks are the 12 restarts of the connected core, or the three
+    // blocks of the partitioned one.
+    for (m, tasks) in [(sts9(), 12), (sts9_blocks(3), 3)] {
         let base = run_with(&m, 1, 12);
         assert!(base.solution.is_feasible(&m));
-        for workers in [2, 8] {
+        for workers in WORKER_COUNTS {
             let par = run_with(&m, workers, 12);
             assert_eq!(base.cost, par.cost, "cost diverged at {workers} workers");
             assert_eq!(
@@ -77,26 +80,34 @@ fn worker_count_never_changes_the_answer() {
             );
             assert_eq!(base.lower_bound, par.lower_bound);
             assert_eq!(base.iterations, par.iterations);
+            assert_eq!(par.restart_workers, workers.min(tasks));
         }
     }
 }
 
-/// The deprecated entrypoints (behind the `legacy-api` feature) are
-/// shims over `Scg::run`; until they are removed, they must keep
-/// returning exactly what the request route does.
-#[cfg(feature = "legacy-api")]
+/// A difficult core at the Paper preset: two workers get a pool of two,
+/// whatever the core's size, and return the inline answer.
 #[test]
-#[allow(deprecated)]
-fn deprecated_entrypoints_match_the_request_route() {
-    let m = sts9();
-    let via_request = run_with(&m, 4, 8);
-    let via_solve = Scg::new(opts_with(4, 8)).solve(&m);
-    let via_parallel = Scg::new(opts_with(1, 8)).solve_parallel(&m, 4);
-    for old in [&via_solve, &via_parallel] {
-        assert_eq!(via_request.cost, old.cost);
-        assert_eq!(via_request.solution.cols(), old.solution.cols());
-        assert_eq!(via_request.lower_bound, old.lower_bound);
-    }
+fn two_workers_pool_the_paper_restarts_on_exam() {
+    let exam = suite::difficult_cyclic()
+        .into_iter()
+        .find(|inst| inst.name == "exam")
+        .expect("exam is a difficult core");
+    let run = |workers| {
+        Scg::run(
+            SolveRequest::for_matrix(&exam.matrix)
+                .preset(Preset::Paper)
+                .workers(workers),
+        )
+        .unwrap()
+    };
+    let (serial, pooled) = (run(1), run(2));
+    assert_eq!(serial.restart_workers, 1);
+    assert_eq!(pooled.restart_workers, 2);
+    assert_eq!(pooled.cost, serial.cost);
+    assert_eq!(pooled.solution.cols(), serial.solution.cols());
+    assert_eq!(pooled.lower_bound, serial.lower_bound);
+    assert_eq!(pooled.iterations, serial.iterations);
 }
 
 #[test]
@@ -129,40 +140,43 @@ fn reduce_stage_runs_exactly_once_with_a_worker_pool() {
 
 #[test]
 fn parallel_trace_is_ordered_and_worker_tagged() {
-    let mut probe = RecordingProbe::new();
     let m = sts9();
-    let out = Scg::run(
-        SolveRequest::for_matrix(&m)
-            .options(opts_with(8, 10))
-            .probe(&mut probe),
-    )
-    .unwrap();
-    let mut expected_run = 1usize;
-    let mut last_best = f64::INFINITY;
-    let mut ends = 0usize;
-    for te in probe.events() {
-        match te.event {
-            Event::RestartBegin { run, .. } => {
-                assert_eq!(run, expected_run, "restarts must replay in run order");
+    for workers in WORKER_COUNTS {
+        let mut probe = RecordingProbe::new();
+        let out = Scg::run(
+            SolveRequest::for_matrix(&m)
+                .options(opts_with(workers, 10))
+                .probe(&mut probe),
+        )
+        .unwrap();
+        let mut expected_run = 1usize;
+        let mut last_best = f64::INFINITY;
+        let mut ends = 0usize;
+        for te in probe.events() {
+            match te.event {
+                Event::RestartBegin { run, worker } => {
+                    assert_eq!(run, expected_run, "restarts must replay in run order");
+                    assert!(worker < workers, "worker tag {worker} outside the pool");
+                }
+                Event::RestartEnd {
+                    run,
+                    cost,
+                    best_cost,
+                    ..
+                } => {
+                    assert_eq!(run, expected_run);
+                    expected_run += 1;
+                    ends += 1;
+                    assert!(best_cost <= cost, "incumbent worse than the run's cover");
+                    assert!(best_cost <= last_best, "merged best_cost not monotone");
+                    last_best = best_cost;
+                }
+                _ => {}
             }
-            Event::RestartEnd {
-                run,
-                cost,
-                best_cost,
-                ..
-            } => {
-                assert_eq!(run, expected_run);
-                expected_run += 1;
-                ends += 1;
-                assert!(best_cost <= cost, "incumbent worse than the run's cover");
-                assert!(best_cost <= last_best, "merged best_cost not monotone");
-                last_best = best_cost;
-            }
-            _ => {}
         }
+        assert_eq!(ends, out.iterations, "one begin/end pair per restart");
+        assert_eq!(last_best, out.cost, "final incumbent matches the outcome");
     }
-    assert_eq!(ends, out.iterations, "one begin/end pair per restart");
-    assert_eq!(last_best, out.cost, "final incumbent matches the outcome");
 }
 
 #[test]
@@ -195,16 +209,40 @@ fn one_deadline_spans_all_partition_blocks() {
     // feasible cover built from each block's initial ascent.
     let m = sts9_blocks(6);
     let budget = Duration::from_millis(500);
-    let opts = ScgOptions {
-        time_limit: Some(budget),
-        ..opts_with(1, 50_000)
-    };
-    let start = Instant::now();
-    let out = Scg::run(SolveRequest::for_matrix(&m).options(opts)).unwrap();
-    let elapsed = start.elapsed();
-    assert!(out.solution.is_feasible(&m));
-    assert!(
-        elapsed < budget * 3,
-        "solve took {elapsed:?} against a {budget:?} shared budget"
-    );
+    for workers in WORKER_COUNTS {
+        let opts = ScgOptions {
+            time_limit: Some(budget),
+            ..opts_with(workers, 50_000)
+        };
+        let start = Instant::now();
+        let out = Scg::run(SolveRequest::for_matrix(&m).options(opts)).unwrap();
+        let elapsed = start.elapsed();
+        assert!(out.solution.is_feasible(&m));
+        assert!(
+            elapsed < budget * 3,
+            "solve took {elapsed:?} against a {budget:?} shared budget at {workers} workers"
+        );
+    }
+}
+
+/// The connected-core variant: one core, the restarts themselves are the
+/// pooled tasks, and the deadline still ends the stage.
+#[test]
+fn one_deadline_spans_all_pooled_restarts() {
+    let m = sts9();
+    let budget = Duration::from_millis(300);
+    for workers in WORKER_COUNTS {
+        let opts = ScgOptions {
+            time_limit: Some(budget),
+            ..opts_with(workers, 5_000_000)
+        };
+        let start = Instant::now();
+        let out = Scg::run(SolveRequest::for_matrix(&m).options(opts)).unwrap();
+        let elapsed = start.elapsed();
+        assert!(out.solution.is_feasible(&m));
+        assert!(
+            elapsed < budget * 3,
+            "solve took {elapsed:?} against a {budget:?} budget at {workers} workers"
+        );
+    }
 }
