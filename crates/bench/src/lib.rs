@@ -12,8 +12,10 @@
 //! | Table 4 (challenging vs exact) | `table4` |
 //! | Figure 1 (bound chain) | `figure1` |
 //! | design-choice ablations | `ablation` |
+//! | pooled restarts == serial (difficult cores, Paper) | `parallel` |
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! Throughput, latency and per-layer costs are measured by the repository
+//! benchmark under `ucpbench/`, not here.
 
 use cover::CoverMatrix;
 use solvers::{branch_and_bound, espresso_like, BnbOptions, EspressoMode};

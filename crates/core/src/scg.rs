@@ -310,11 +310,6 @@ impl Scg {
         Scg { opts }
     }
 
-    /// Convenience constructor with default options.
-    pub fn with_defaults() -> Self {
-        Scg::new(ScgOptions::default())
-    }
-
     /// Worker threads to actually use (`workers == 0` means "all cores").
     fn effective_workers(&self) -> usize {
         match self.opts.workers {

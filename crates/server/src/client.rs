@@ -1,6 +1,6 @@
 //! A small blocking `ucp-api/2` client over one keep-alive connection —
-//! shared by the load generator, the integration tests and the
-//! snapshot bench, so every consumer exercises the same wire path.
+//! shared by the load generator and the integration tests, so every
+//! consumer exercises the same wire path.
 
 use crate::http::read_chunked;
 use std::io::{self, BufRead, BufReader, Read, Write};

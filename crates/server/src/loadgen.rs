@@ -2,9 +2,9 @@
 //! a running server over plain keep-alive connections and reports
 //! sustained throughput and tail latency.
 //!
-//! Used three ways, all through the same code path: the
-//! `crates/workloads` `ucp-loadgen` binary (manual load tests), the CI
-//! server-smoke step, and the snapshot bench's `server` row.
+//! Used two ways, through the same code path: the `crates/workloads`
+//! `ucp-loadgen` binary (manual load tests) and the CI server-smoke
+//! step.
 
 use crate::client::HttpClient;
 use cover::CoverMatrix;

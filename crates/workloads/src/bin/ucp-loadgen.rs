@@ -7,9 +7,8 @@
 //!             [--preset P] [--tenant T] [--trace-every K] [--json]
 //! ```
 //!
-//! The same generator backs the CI server-smoke step and the snapshot
-//! bench's `server` row (`ucp_server::loadgen`), so the numbers printed
-//! here are directly comparable to both.
+//! The same generator (`ucp_server::loadgen`) backs the CI server-smoke
+//! step, so the numbers printed here are directly comparable to it.
 
 use std::process::ExitCode;
 use ucp_core::Preset;

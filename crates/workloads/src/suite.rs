@@ -6,8 +6,7 @@
 //! the originals, but the matrices are synthetic — see `DESIGN.md`.
 
 use crate::generators::{
-    circulant, crew_schedule, random_pla, random_ucp, steiner_triple, CostModel,
-    CrewScheduleConfig, MulticoverInstance, RandomUcpConfig,
+    circulant, random_pla, random_ucp, steiner_triple, CostModel, RandomUcpConfig,
 };
 use cover::CoverMatrix;
 use logic::covering::build_covering;
@@ -320,30 +319,6 @@ pub fn all() -> Vec<Instance> {
     out
 }
 
-/// The named *multicover* mini-suite: deterministic crew-scheduling
-/// instances exercising the constrained (set-multicover + GUB) solver
-/// path. Kept separate from [`all`] — the unate suite's 72-instance
-/// composition (and every table derived from it) is pinned by tests.
-pub fn multicover() -> Vec<(String, MulticoverInstance)> {
-    [
-        ("crew1", 24usize, 8usize, 3usize, 2u32, 11u64),
-        ("crew2", 48, 12, 4, 3, 12),
-        ("crew3", 96, 20, 5, 3, 13),
-    ]
-    .into_iter()
-    .map(|(name, periods, crews, rosters, max_demand, seed)| {
-        let cfg = CrewScheduleConfig {
-            periods,
-            crews,
-            rosters_per_crew: rosters,
-            max_demand,
-            costs: CostModel::Uniform { max: 5 },
-        };
-        (name.to_string(), crew_schedule(&cfg, seed))
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,22 +329,6 @@ mod tests {
         assert_eq!(difficult_cyclic().len(), 7);
         assert_eq!(challenging().len(), 16);
         assert_eq!(all().len(), 72);
-    }
-
-    #[test]
-    fn multicover_suite_is_valid_and_deterministic() {
-        let a = multicover();
-        let b = multicover();
-        assert_eq!(a.len(), 3);
-        for ((name, inst), (_, again)) in a.iter().zip(&b) {
-            assert_eq!(inst.matrix, again.matrix, "{name} not deterministic");
-            assert_eq!(inst.constraints, again.constraints);
-            assert!(
-                inst.constraints.validate_for(&inst.matrix).is_ok(),
-                "{name} fails validation"
-            );
-            assert!(!inst.constraints.is_unate(), "{name} degenerated to unate");
-        }
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //!   analytics behind `ucp trace`,
 //! * [`ucp_metrics`] — lock-free metrics registry (counters, gauges,
 //!   log-bucketed histograms) with Prometheus text exposition, fed by the
-//!   solver, the engine and the ZDD kernel,
-//! * [`binate`] — the binate generalisation (§1) with unit propagation and
-//!   an exact solver.
+//!   solver, the engine and the ZDD kernel.
 //!
 //! # Quickstart
 //!
@@ -60,7 +58,6 @@
 //! ```
 
 pub use bdd;
-pub use binate;
 pub use cover;
 pub use logic;
 pub use lp;

@@ -117,7 +117,7 @@ fn suite_instances_match_dense_bit_for_bit() {
         assert_equiv(&inst.name, &inst.matrix, &opts, None, None);
     }
     // A few of the difficult cores too (the dense oracle is the slow
-    // side; the full set runs in the snapshot bench instead).
+    // side, so not all seven).
     for inst in suite::difficult_cyclic().into_iter().take(3) {
         assert_equiv(&inst.name, &inst.matrix, &opts, None, None);
     }
