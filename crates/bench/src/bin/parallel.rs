@@ -1,13 +1,14 @@
 //! `parallel` — pooled restarts against the serial solve on the difficult
 //! cyclic cores.
 //!
-//! Solves each of the 7 difficult cores at the Paper preset twice: on the
-//! calling thread, then with its restarts pooled over
+//! Solves each of the 7 difficult cores at the Paper preset three times:
+//! on the calling thread (`workers: 1`), with its restarts pooled over
 //! `available_parallelism().clamp(2, 8)` workers (at least 2, so the pool
-//! runs even on a one-core machine). Pooling must not change the answer:
-//! the run panics unless both solves return the same cost, cover, lower
-//! bound, constructive runs and subgradient iterations. It prints both
-//! wall times per core and in total.
+//! runs even on a one-core machine), and at the default options, whose
+//! pool takes the idle cores. Pooling must not change the answer: the run
+//! panics unless all three solves return the same cost, cover, lower
+//! bound, constructive runs and subgradient iterations. It prints the
+//! serial and pooled wall times per core and in total.
 //!
 //! Usage: `cargo run -p ucp-bench --release --bin parallel`
 
@@ -28,6 +29,10 @@ fn answer(o: &ScgOutcome) -> (f64, &[usize], f64, usize, usize) {
 
 fn main() {
     let paper = Preset::Paper.options();
+    let serial_opts = ScgOptions {
+        workers: 1,
+        ..paper
+    };
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -35,12 +40,24 @@ fn main() {
     let insts = suite::difficult_cyclic();
     let (mut serial_total, mut pooled_total) = (0.0f64, 0.0f64);
     for inst in &insts {
-        let serial = run_scg(&inst.matrix, paper);
+        let serial = run_scg(&inst.matrix, serial_opts);
         let pooled = run_scg(&inst.matrix, ScgOptions { workers, ..paper });
+        let auto = run_scg(&inst.matrix, paper);
+        assert_eq!(
+            serial.restart_workers, 1,
+            "{}: serial solve pooled",
+            inst.name
+        );
         assert_eq!(
             answer(&serial),
             answer(&pooled),
             "{}: pooled solve diverged from serial",
+            inst.name
+        );
+        assert_eq!(
+            answer(&serial),
+            answer(&auto),
+            "{}: idle-core solve diverged from serial",
             inst.name
         );
         let (s, p) = (

@@ -20,7 +20,8 @@
 //! * [`scg`] — the full constructive driver of Fig. 2 with its stochastic
 //!   restarts ([`Scg`]);
 //! * [`restart`] — the restart scheduler running those runs (or partition
-//!   blocks) on `min(workers, tasks)` threads without changing the answer;
+//!   blocks) on the idle cores, or on `min(workers, tasks)` threads when
+//!   asked, without changing the answer;
 //! * [`request`] — the unified solve API: build a [`SolveRequest`]
 //!   (instance + [`Preset`]/options + deadline + seed + probe +
 //!   [`CancelFlag`]) and pass it to [`Scg::run`].
@@ -63,7 +64,7 @@ pub use cover::{
 };
 pub use metrics::SolveMetrics;
 pub use request::{CancelFlag, Preset, SolveError, SolveRequest};
-pub use restart::{restart_seed, splitmix64};
+pub use restart::{available_cores, restart_seed, splitmix64};
 pub use scg::{Scg, ScgOptions, ScgOutcome};
 pub use subgradient::{
     subgradient_ascent, subgradient_ascent_constrained, subgradient_ascent_constrained_probed,

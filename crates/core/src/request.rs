@@ -24,6 +24,7 @@
 //! lets `ucp-engine` queue them across a long-lived worker pool.
 
 use crate::checkpoint::SolverCheckpoint;
+use crate::restart::CoreBudget;
 use crate::scg::{Scg, ScgOptions, ScgOutcome};
 use crate::subgradient::SubgradientOptions;
 use cover::{
@@ -432,8 +433,9 @@ impl<'a> SolveRequest<'a> {
         &self.constraints
     }
 
-    /// Worker threads for the restarts stage (`0` = all cores). The
-    /// answer is identical for every value — see [`crate::restart`].
+    /// Worker threads for the restarts stage (`0`, the default, = the
+    /// idle cores; see [`ScgOptions::workers`]). The answer is identical
+    /// for every value — see [`crate::restart`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.options.workers = workers;
         self
@@ -481,10 +483,11 @@ impl<'a> SolveRequest<'a> {
     /// of Fig. 2, one `SubgradientIter` per ascent iteration, a
     /// `ZddKernel` counter snapshot after the implicit phase, and —
     /// inside the constructive runs — `RestartBegin`/`RestartEnd`,
-    /// `ColumnFix` and `PenaltyElim` events. With `workers > 1`,
-    /// per-worker buffers are replayed into this probe in restart order
-    /// after the pool joins, so a parallel trace reads like a
-    /// sequential one apart from the `worker` tags.
+    /// `ColumnFix` and `PenaltyElim` events. When the restarts are
+    /// pooled, per-task buffers are replayed into this probe in restart
+    /// order, their `PhaseEnd` seconds rescaled to wall-clock shares, so
+    /// a parallel trace reads like a sequential one apart from the
+    /// `worker` tags and timings.
     pub fn probe<P: Probe + Send>(mut self, probe: &'a mut P) -> Self {
         self.probe = Some(ProbeSlot::Borrowed(probe));
         self
@@ -635,6 +638,9 @@ impl Scg {
         } = req;
         let solver = Scg::new(options);
         let m = matrix.get();
+        // This solve occupies a core: auto-sized pools, its own included,
+        // count only the cores no running solve holds.
+        let _core = CoreBudget::global().hold(1);
         let cancel_ref = cancel.as_ref();
         // Refuse cancelled requests up front so a job cancelled while
         // queued never starts reducing at all.

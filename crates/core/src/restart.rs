@@ -10,16 +10,36 @@
 //!
 //! # Scheduling
 //!
-//! The pool is `min(workers, tasks pending)`, with no size cutoff. A pool
-//! of one runs every task on the calling thread and spawns nothing; a
-//! larger one adds `pool − 1` threads on `std::thread::scope`, the calling
-//! thread working alongside them. Either way each finished task's result
-//! (and, when pooled, its buffered telemetry) comes back to the calling
-//! thread in index order, so everything that must read like a sequential
-//! solve — trace order, the running best, checkpoints — is done there,
-//! once, by the same code for every pool size. Whether a pool
+//! `workers` is the request. An explicit `N` gets a pool of exactly
+//! `min(N, tasks pending)`, with no size cutoff. `0`, the default, sizes
+//! the pool from the process-wide core budget: one slot per available
+//! core. Every running [`Scg::run`](crate::Scg::run) holds one slot, and
+//! an auto pool adds helpers only for the slots still free. A standalone
+//! solve therefore uses every core, while solves that already fill the
+//! cores (engine jobs, say) run their restarts inline.
+//!
+//! A pool of one runs every task on the calling thread and spawns
+//! nothing; a larger one adds `pool − 1` threads on `std::thread::scope`,
+//! the calling thread working alongside them. Either way each finished
+//! task's result (and, when pooled, its buffered telemetry) comes back to
+//! the calling thread in index order, so everything that must read like a
+//! sequential solve — trace order, the running best, checkpoints — is
+//! done there, once, by the same code for every pool size. Whether a pool
 //! pays for its spawn and join depends on how long the restarts run, not
-//! on the core's size, so no cutoff is guessed: `workers` is the request.
+//! on the core's size, so no cutoff is guessed.
+//!
+//! # Stage times
+//!
+//! Pooled tasks overlap, so the seconds each measures on its own worker
+//! add up to more than the wall clock. At hand-back each task is credited
+//! with the wall time the calling thread saw since the previous hand-back
+//! instead, and every duration the task measured — its buffered
+//! `PhaseEnd` events and the seconds in its result — is rescaled by the
+//! same factor, which keeps the task's own split between phases. A
+//! pooled solve's stages then add up to its wall clock, and its trace
+//! agrees with its outcome. (The restarts of a connected core go one step
+//! further: their constructive phase is the stage's wall clock net of the
+//! rescaled ascents, so hand-back work after the last task counts too.)
 //!
 //! # Determinism contract
 //!
@@ -58,7 +78,8 @@ use cover::{CoverMatrix, Halt, Solution};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
+use std::time::Instant;
 use ucp_telemetry::{Event, Probe};
 
 /// The SplitMix64 output function: maps `state` to a well-mixed 64-bit
@@ -217,19 +238,106 @@ impl<P: Probe> Probe for TaskProbe<'_, P> {
     }
 }
 
-/// Runs `task(i, worker, probe)` for every index `i` in `tasks` on a pool
-/// of `min(workers, tasks.len())` workers, and hands each result back to
-/// `done(i, result, events, probe)` on the calling thread in index order.
-/// Returns the pool size.
+/// The machine's available parallelism, read once per process (on Linux
+/// each read consults the cgroup files). `1` when it cannot be read.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Slots for the threads solves run on, one per core. Running solves and
+/// pooled helpers hold slots; an auto-sized pool (`workers == 0`) adds
+/// helpers only for the free ones (see the module docs).
+pub(crate) struct CoreBudget {
+    slots: usize,
+    /// Slots held now. A count that publishes no other data, so every
+    /// access is `Relaxed`.
+    held: AtomicUsize,
+}
+
+impl CoreBudget {
+    pub fn new(slots: usize) -> Self {
+        CoreBudget {
+            slots,
+            held: AtomicUsize::new(0),
+        }
+    }
+
+    /// The process-wide budget: [`available_cores`] slots.
+    pub fn global() -> &'static CoreBudget {
+        static BUDGET: OnceLock<CoreBudget> = OnceLock::new();
+        BUDGET.get_or_init(|| CoreBudget::new(available_cores()))
+    }
+
+    /// Holds `n` slots, free or not: a running solve, or the helpers of an
+    /// explicitly sized pool. Released when the guard drops.
+    pub fn hold(&self, n: usize) -> Held<'_> {
+        self.held.fetch_add(n, Ordering::Relaxed);
+        Held { budget: self, n }
+    }
+
+    /// Holds as many free slots as there are, up to `want`.
+    fn take_free(&self, want: usize) -> Held<'_> {
+        let free = |held: usize| want.min(self.slots.saturating_sub(held));
+        let n = self
+            .held
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                (free(held) > 0).then(|| held + free(held))
+            })
+            .map_or(0, free);
+        Held { budget: self, n }
+    }
+}
+
+/// Slots held in a [`CoreBudget`] until dropped.
+pub(crate) struct Held<'b> {
+    budget: &'b CoreBudget,
+    n: usize,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.budget.held.fetch_sub(self.n, Ordering::Relaxed);
+    }
+}
+
+/// The wall-clock share of one handed-back task: `own` seconds it ran on
+/// its worker, `wall` seconds of the calling thread's clock it is
+/// credited with. Inline the two are equal; pooled, `wall` is the time
+/// since the previous hand-back.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Share {
+    pub own: f64,
+    pub wall: f64,
+}
+
+impl Share {
+    /// Rescales a duration the task measured itself to its wall share.
+    pub fn scale(self, seconds: f64) -> f64 {
+        if self.own > 0.0 {
+            seconds * (self.wall / self.own)
+        } else {
+            seconds
+        }
+    }
+}
+
+/// Runs `task(i, worker, probe)` for every index `i` in `tasks` and hands
+/// each result back to `done(i, result, events, share, probe)` on the
+/// calling thread in index order. Returns the pool size.
+///
+/// The pool is `min(workers, tasks.len())` for an explicit `workers`; for
+/// `0` it is the calling thread plus as many helpers as `budget` has free
+/// slots, up to one per remaining task (see the module docs).
 ///
 /// A pool of one runs the tasks on the calling thread, records straight
 /// into `probe` and passes `done` no events. A larger pool spawns
 /// `pool − 1` scoped threads; they and the calling thread pull indices in
 /// order, and the calling thread hands results back between its own
 /// tasks, so a result can wait for the task it is running. `events` is
-/// then what the task buffered, and `done` decides whether to replay it.
-/// `worker` is the pool slot that ran the task (`0` is the calling
-/// thread).
+/// then what the task buffered, its `PhaseEnd` seconds already rescaled
+/// by `share`, and `done` decides whether to replay it. `worker` is the
+/// pool slot that ran the task (`0` is the calling thread).
 ///
 /// A task returning `None` — it did not run — ends the schedule, and so
 /// does `done` returning `false`: no further task starts, and results of
@@ -238,6 +346,7 @@ impl<P: Probe> Probe for TaskProbe<'_, P> {
 /// leave no trace decides before it records anything.
 pub(crate) fn run_in_order<P, T, F, D>(
     workers: usize,
+    budget: &CoreBudget,
     tasks: Range<usize>,
     probe: &mut P,
     task: F,
@@ -247,15 +356,21 @@ where
     P: Probe,
     T: Send,
     F: Fn(usize, usize, &mut TaskProbe<'_, P>) -> Option<T> + Sync,
-    D: FnMut(usize, T, Vec<Event>, &mut P) -> bool,
+    D: FnMut(usize, T, Vec<Event>, Share, &mut P) -> bool,
 {
-    let pool = workers.min(tasks.len()).max(1);
+    let helpers = match workers {
+        0 => budget.take_free(tasks.len().saturating_sub(1)),
+        n => budget.hold(n.min(tasks.len()).saturating_sub(1)),
+    };
+    let pool = helpers.n + 1;
     if pool == 1 {
         for i in tasks {
+            let started = Instant::now();
             let Some(out) = task(i, 0, &mut TaskProbe::Inline(&mut *probe)) else {
                 break;
             };
-            if !done(i, out, Vec::new(), probe) {
+            let own = started.elapsed().as_secs_f64();
+            if !done(i, out, Vec::new(), Share { own, wall: own }, probe) {
                 break;
             }
         }
@@ -279,18 +394,21 @@ where
             return None;
         }
         let mut events = Vec::new();
+        let started = Instant::now();
         let out = task(
             i,
             worker,
             &mut TaskProbe::Buffered(enabled.then_some(&mut events)),
         );
+        let own = started.elapsed().as_secs_f64();
         if out.is_none() {
             closed.store(true, Ordering::Relaxed);
         }
-        Some((i, out, events))
+        Some((i, out, events, own))
     };
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
+        let mut last_hand_back = Instant::now();
         for worker in 1..pool {
             let (run_next, tx) = (&run_next, tx.clone());
             scope.spawn(move || {
@@ -303,13 +421,29 @@ where
         }
         drop(tx);
         // Results arrive in completion order; hand them back in index
-        // order. `false` once the schedule has ended.
+        // order, each credited with the wall time since the last one.
+        // `false` once the schedule has ended.
         let mut pending = BTreeMap::new();
         let mut want = tasks.start;
-        let mut hand_back = |(i, out, events): (usize, Option<T>, Vec<Event>)| {
-            pending.insert(i, (out, events));
-            while let Some((out, events)) = pending.remove(&want) {
-                if !out.is_some_and(|out| done(want, out, events, &mut *probe)) {
+        let mut hand_back = |(i, out, events, own): (usize, Option<T>, Vec<Event>, f64)| {
+            pending.insert(i, (out, events, own));
+            while let Some((out, mut events, own)) = pending.remove(&want) {
+                let Some(out) = out else {
+                    closed.store(true, Ordering::Relaxed);
+                    return false;
+                };
+                let now = Instant::now();
+                let share = Share {
+                    own,
+                    wall: (now - last_hand_back).as_secs_f64(),
+                };
+                last_hand_back = now;
+                for event in &mut events {
+                    if let Event::PhaseEnd { seconds, .. } = event {
+                        *seconds = share.scale(*seconds);
+                    }
+                }
+                if !done(want, out, events, share, &mut *probe) {
                     closed.store(true, Ordering::Relaxed);
                     return false;
                 }
@@ -409,11 +543,13 @@ mod tests {
         assert!(at.superseded(4));
     }
 
-    /// Runs `0..n` on `workers`, each task recording one event tagged with
-    /// its index, and returns the pool size, the indices `done` saw and
-    /// the event tags that reached the probe. Task `skip_at` does not
-    /// run; `done` refuses the result of task `refuse_at`.
-    fn schedule(
+    /// Runs `0..n` on `workers` against `budget`, each task recording one
+    /// event tagged with its index, and returns the pool size, the
+    /// indices `done` saw and the event tags that reached the probe. Task
+    /// `skip_at` does not run; `done` refuses the result of task
+    /// `refuse_at`.
+    fn schedule_on(
+        budget: &CoreBudget,
         workers: usize,
         n: usize,
         skip_at: usize,
@@ -423,17 +559,18 @@ mod tests {
         let mut seen = Vec::new();
         let pool = run_in_order(
             workers,
+            budget,
             0..n,
             &mut probe,
             |i, worker, p| {
-                assert!(worker < workers.max(1));
+                assert!(workers == 0 || worker < workers);
                 if i >= skip_at {
                     return None;
                 }
                 p.record(Event::RestartBegin { run: i, worker });
                 Some(i * 10)
             },
-            |i, out, events, p| {
+            |i, out, events, _, p| {
                 assert_eq!(out, i * 10);
                 if i == refuse_at {
                     return false;
@@ -456,6 +593,17 @@ mod tests {
         (pool, seen, tags)
     }
 
+    /// [`schedule_on`] with an explicit `workers` and a budget of its own.
+    fn schedule(
+        workers: usize,
+        n: usize,
+        skip_at: usize,
+        refuse_at: usize,
+    ) -> (usize, Vec<usize>, Vec<usize>) {
+        assert!(workers > 0, "auto pools are tested on a sized budget");
+        schedule_on(&CoreBudget::new(1), workers, n, skip_at, refuse_at)
+    }
+
     #[test]
     fn scheduler_hands_results_back_in_index_order() {
         const ALL: usize = usize::MAX;
@@ -470,12 +618,92 @@ mod tests {
             3,
             "never more workers than tasks"
         );
-        assert_eq!(
-            schedule(0, 3, ALL, ALL).0,
-            1,
-            "an empty request runs inline"
-        );
         assert_eq!(schedule(4, 0, ALL, ALL), (1, vec![], vec![]));
+    }
+
+    #[test]
+    fn auto_pools_take_only_free_slots() {
+        const ALL: usize = usize::MAX;
+        let inline = schedule(1, 40, ALL, ALL);
+        let budget = CoreBudget::new(4);
+        let _solve = budget.hold(1);
+        // Three slots free: the calling thread and three helpers, never
+        // more than the tasks, with the inline schedule's results.
+        let (pool, seen, tags) = schedule_on(&budget, 0, 40, ALL, ALL);
+        assert_eq!((pool, &seen, &tags), (4, &inline.1, &inline.2));
+        assert_eq!(schedule_on(&budget, 0, 2, ALL, ALL).0, 2);
+        assert_eq!(budget.held.load(Ordering::Relaxed), 1, "helpers released");
+        // Every slot held: an auto pool runs inline, unchanged.
+        let busy = budget.hold(3);
+        assert_eq!(schedule_on(&budget, 0, 40, ALL, ALL), inline);
+        // An explicit request ignores the budget.
+        assert_eq!(schedule_on(&budget, 3, 40, ALL, ALL).0, 3);
+        assert_eq!(schedule_on(&budget, 8, 3, ALL, ALL).0, 3);
+        drop(busy);
+        // A pool's helpers hold their slots: a nested auto pool inside
+        // one that took the last free slot runs inline.
+        let tight = CoreBudget::new(2);
+        let _solve = tight.hold(1);
+        let outer = run_in_order(
+            0,
+            &tight,
+            0..4,
+            &mut NoopProbe,
+            |_, _, _| {
+                Some(run_in_order(
+                    0,
+                    &tight,
+                    0..4,
+                    &mut NoopProbe,
+                    |_, _, _| Some(()),
+                    |_, (), _, _, _| true,
+                ))
+            },
+            |_, inner, _, _, _| {
+                assert_eq!(inner, 1, "no slot left for the nested pool");
+                true
+            },
+        );
+        assert_eq!(outer, 2);
+    }
+
+    #[test]
+    fn pooled_shares_tile_the_wall_clock() {
+        let mut probe = RecordingProbe::new();
+        let mut walls = 0.0;
+        let started = Instant::now();
+        let pool = run_in_order(
+            2,
+            &CoreBudget::new(2),
+            0..6,
+            &mut probe,
+            |_, _, p| {
+                let t = Instant::now();
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let seconds = t.elapsed().as_secs_f64();
+                p.record(Event::PhaseEnd {
+                    phase: ucp_telemetry::Phase::Constructive,
+                    seconds,
+                });
+                Some(seconds)
+            },
+            |_, seconds, events, share, p| {
+                // The replayed event carries the task's rescaled time.
+                for e in events {
+                    let Event::PhaseEnd { seconds: s, .. } = e else {
+                        unreachable!()
+                    };
+                    assert_eq!(s, share.scale(seconds));
+                    assert!(s <= share.wall + 1e-12);
+                    p.record(e);
+                }
+                walls += share.wall;
+                true
+            },
+        );
+        assert_eq!(pool, 2);
+        assert!(walls <= started.elapsed().as_secs_f64());
+        assert!((probe.phase_times().total() - walls).abs() <= 1e-3);
     }
 
     #[test]

@@ -11,17 +11,20 @@
 //! the residual matrix empties or the local bound proves no improvement is
 //! possible. Finally redundant columns are stripped.
 //!
-//! With [`ScgOptions::workers`] > 1 the restarts stage runs restarts (or
-//! disconnected partition blocks) on a scoped thread pool; see
-//! [`crate::restart`] for the scheduler and its determinism contract —
-//! the answer is identical for every worker count.
+//! The restarts stage runs restarts (or disconnected partition blocks) on
+//! a scoped thread pool sized by [`ScgOptions::workers`] — by default,
+//! on the cores no other solve is using. See [`crate::restart`] for the
+//! scheduler and its determinism contract: the answer is identical for
+//! every worker count.
 
 use crate::dual::dual_ascent;
 use crate::penalty::{dual_penalties, lagrangian_penalties};
 #[cfg(test)]
 use crate::request::SolveRequest;
 use crate::request::{CancelFlag, Preset, SolveError};
-use crate::restart::{restart_seed, run_in_order, CertifiedAt, Incumbent, RestartCtx};
+use crate::restart::{
+    restart_seed, run_in_order, CertifiedAt, CoreBudget, Incumbent, RestartCtx, Share,
+};
 use crate::subgradient::{
     certified, lb_ceil_of, subgradient_ascent_constrained_probed, subgradient_ascent_probed,
     SubgradientOptions, SubgradientResult,
@@ -71,11 +74,13 @@ pub struct ScgOptions {
     /// cyclic core are solved independently and their bounds added.
     pub partition: bool,
     /// Worker threads for the restarts stage: the constructive runs of a
-    /// connected core, or the blocks of a partitioned one. The pool is
-    /// `min(workers, tasks pending)` — no size cutoff — so `1` (the
-    /// default) solves inline on the calling thread and `0` means "all
-    /// available parallelism". The answer is the same for every value —
-    /// see [`crate::restart`].
+    /// connected core, or the blocks of a partitioned one. `0` (the
+    /// default) means "idle cores": the calling thread plus one helper
+    /// per core that no running solve or pool holds, so a solve alone on
+    /// the machine uses every core and one among busy solves runs inline.
+    /// An explicit `N` pools exactly `min(N, tasks pending)` — no size
+    /// cutoff — so `1` solves inline on the calling thread. The answer is
+    /// the same for every value — see [`crate::restart`].
     pub workers: usize,
     /// Emit an [`Event::Checkpoint`] (resumable solver state) after the
     /// initial subgradient ascent and after every `checkpoint_every`-th
@@ -101,7 +106,7 @@ impl Default for ScgOptions {
             seed: 0xDA7E_2000,
             time_limit: None,
             partition: true,
-            workers: 1,
+            workers: 0,
             checkpoint_every: 0,
         }
     }
@@ -133,11 +138,13 @@ pub struct ScgOutcome {
     pub iterations: usize,
     /// Total subgradient iterations across all phases and workers.
     pub subgradient_iterations: usize,
-    /// Pool size the restarts stage ran on: `min(workers, tasks pending)`,
-    /// where the tasks are the constructive runs still to go, or the
-    /// blocks of a partitioned core. `1` means the stage ran inline:
-    /// requested serially, one task left, or the solve finished before
-    /// any restart.
+    /// Pool size the restarts stage ran on: `min(workers, tasks pending)`
+    /// for an explicit `workers`, and for `0` the calling thread plus the
+    /// cores that were idle when the stage started (at most one per
+    /// pending task). The tasks are the constructive runs still to go, or
+    /// the blocks of a partitioned core. `1` means the stage ran inline:
+    /// requested serially, no idle core, one task left, or the solve
+    /// finished before any restart.
     pub restart_workers: usize,
     /// Cyclic-core computation time (`CC(s)` column of Tables 1–2).
     pub cc_time: Duration,
@@ -147,10 +154,11 @@ pub struct ScgOutcome {
     pub core_rows: usize,
     /// See [`ScgOutcome::core_rows`].
     pub core_cols: usize,
-    /// Per-phase time breakdown, summed over all workers and partition
-    /// blocks (CPU seconds, not wall clock: a parallel solve's phase total
-    /// can exceed `total_time`). For sequential solves `phase_times.total()`
-    /// closely tracks `total_time`.
+    /// Per-phase wall-clock breakdown. A pooled task's seconds are
+    /// rescaled to its share of the calling thread's clock (see
+    /// [`crate::restart`]), so for every pool size `phase_times.total()`
+    /// closely tracks `total_time`, and the `PhaseEnd` events of a trace
+    /// add up to the same numbers.
     pub phase_times: PhaseTimes,
     /// ZDD manager counters from the implicit reduction phase (all zero
     /// when the implicit phase was disabled). The reduce stage runs once
@@ -226,18 +234,16 @@ struct RestartsResult {
     /// Restarts actually executed.
     iterations: usize,
     sub_iters: usize,
+    /// The runs' ascent seconds, each rescaled to its run's wall-clock
+    /// share.
     sub_seconds: f64,
-    /// Seconds inside restarts net of their nested ascents, summed over
-    /// workers (CPU seconds).
-    constructive_seconds: f64,
 }
 
 impl RestartsResult {
-    fn absorb(&mut self, report: &RunReport, wall_seconds: f64) {
+    fn absorb(&mut self, report: &RunReport, share: Share) {
         self.iterations += 1;
         self.sub_iters += report.sub_iters;
-        self.sub_seconds += report.sub_seconds;
-        self.constructive_seconds += (wall_seconds - report.sub_seconds).max(0.0);
+        self.sub_seconds += share.scale(report.sub_seconds);
     }
 }
 
@@ -308,16 +314,6 @@ impl Scg {
     /// Creates a solver with the given options.
     pub fn new(opts: ScgOptions) -> Self {
         Scg { opts }
-    }
-
-    /// Worker threads to actually use (`workers == 0` means "all cores").
-    fn effective_workers(&self) -> usize {
-        match self.opts.workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            w => w,
-        }
     }
 
     /// The unate solve pipeline behind [`Scg::run`]: reduce once,
@@ -446,7 +442,7 @@ impl Scg {
             integer_costs,
             &halt,
             0,
-            self.effective_workers(),
+            self.opts.workers,
             Some(&ckpt_ctx),
             &mut *probe,
         );
@@ -717,7 +713,8 @@ impl Scg {
     /// block goes straight to its ascent + restarts — the cyclic core is
     /// computed exactly once per solve and the ZDD counters describe that
     /// single computation. The blocks are the scheduled tasks (restarts
-    /// inside each block then run inline), merged in block order.
+    /// inside each block then run inline), merged in block order; a pooled
+    /// block's stage seconds are rescaled to its wall-clock share.
     #[allow(clippy::too_many_arguments)]
     fn solve_blocks<P: Probe>(
         &self,
@@ -736,17 +733,20 @@ impl Scg {
         let mut sub_iters = 0usize;
         let mut outcomes = Vec::with_capacity(blocks.len());
         let restart_workers = run_in_order(
-            self.effective_workers(),
+            self.opts.workers,
+            CoreBudget::global(),
             0..blocks.len(),
             probe,
             |b, worker, probe| {
                 let block = &blocks[b].matrix;
                 Some(self.solve_core(block, block.integer_costs(), halt, worker, 1, None, probe))
             },
-            |_, co, events, probe| {
+            |_, mut co: CoreOutcome, events, share, probe| {
                 for event in events {
                     probe.record(event);
                 }
+                co.sub_seconds = share.scale(co.sub_seconds);
+                co.constructive_seconds = share.scale(co.constructive_seconds);
                 outcomes.push(co);
                 true
             },
@@ -802,7 +802,7 @@ impl Scg {
 
     /// Restarts stage for one connected, fully-reduced core: the initial
     /// subgradient ascent (run once) followed by the `NumIter` restarts on
-    /// a pool of up to `workers`.
+    /// a pool sized by `workers` (see [`ScgOptions::workers`]).
     ///
     /// `worker_tag` is added to the pool slot in this core's restart
     /// events (a partition block passes the slot it runs on).
@@ -865,11 +865,13 @@ impl Scg {
 
         let mut restarts = RestartsResult::default();
         let mut pool = 1;
+        let mut constructive_seconds = 0.0;
         // A cover at the bound floor cannot be improved: skip the restarts.
         if base_ub > core_lb + 1e-9 {
             probe.record(Event::PhaseBegin {
                 phase: Phase::Constructive,
             });
+            let stage_start = Instant::now();
             pool = self.run_restarts(
                 ae,
                 &sub0,
@@ -884,9 +886,14 @@ impl Scg {
                 &mut restarts,
                 probe,
             );
+            // The stage's wall clock net of the runs' ascents: the
+            // constructive work, the in-order hand-backs (merging, trace
+            // replay, checkpoints) and, when pooled, spawn and join.
+            constructive_seconds =
+                (stage_start.elapsed().as_secs_f64() - restarts.sub_seconds).max(0.0);
             probe.record(Event::PhaseEnd {
                 phase: Phase::Constructive,
-                seconds: restarts.constructive_seconds,
+                seconds: constructive_seconds,
             });
         }
 
@@ -896,7 +903,7 @@ impl Scg {
             iterations: restarts.iterations,
             sub_iters: sub0.iterations + restarts.sub_iters,
             sub_seconds: sub_time + restarts.sub_seconds,
-            constructive_seconds: restarts.constructive_seconds,
+            constructive_seconds,
             resumed,
             workers: pool,
         }
@@ -929,6 +936,7 @@ impl Scg {
         let certified = CertifiedAt::new();
         run_in_order(
             workers,
+            CoreBudget::global(),
             runs,
             probe,
             |run, worker, probe| {
@@ -937,19 +945,18 @@ impl Scg {
                 }
                 let worker = worker_tag + worker;
                 probe.record(Event::RestartBegin { run, worker });
-                let run_start = Instant::now();
                 let report =
                     self.restart_run(ae, sub0, run, core_lb, base_ub, halt, &certified, probe);
-                Some((report, worker, run_start.elapsed().as_secs_f64()))
+                Some((report, worker))
             },
-            |run, (report, worker, wall), events, probe| {
+            |run, (report, worker), events, share, probe| {
                 if certified.superseded(run) {
                     return false;
                 }
                 for event in events {
                     probe.record(event);
                 }
-                result.absorb(&report, wall);
+                result.absorb(&report, share);
                 let cost = report.best.cost;
                 best.merge(report.best);
                 if probe.enabled() {
@@ -1355,7 +1362,13 @@ mod partition_tests {
     #[test]
     fn concurrent_blocks_match_serial_blocks() {
         let m = two_cycles(9);
-        let serial = run_default(&m);
+        let serial = run_opts(
+            &m,
+            ScgOptions {
+                workers: 1,
+                ..ScgOptions::default()
+            },
+        );
         let parallel = run_opts(
             &m,
             ScgOptions {
@@ -1423,17 +1436,15 @@ mod parallel_tests {
     }
 
     #[test]
-    fn workers_zero_in_options_means_all_cores() {
+    fn idle_core_default_matches_the_inline_solve() {
+        // The default pool size depends on what else runs (tests share
+        // the process-wide core budget), so only the answer is pinned.
         let m = CoverMatrix::from_rows(7, (0..7).map(|i| vec![i, (i + 1) % 7]).collect());
-        let out = run_opts(
-            &m,
-            ScgOptions {
-                workers: 0,
-                ..ScgOptions::default()
-            },
-        );
-        let base = run_default(&m);
+        assert_eq!(ScgOptions::default().workers, 0);
+        let out = run_default(&m);
+        let base = run_workers(&m, 1);
         assert_eq!(out.cost, base.cost);
         assert_eq!(out.solution.cols(), base.solution.cols());
+        assert!(out.restart_workers >= 1);
     }
 }

@@ -286,7 +286,8 @@ impl std::error::Error for SpecUnrepresentable {}
 pub struct JobSpec {
     /// Base option set ([`Preset::Paper`] by default).
     pub preset: Preset,
-    /// Restart-stage worker threads (`0` = all cores).
+    /// Restart-stage worker threads (`0`, the preset's value, = the
+    /// cores no running solve holds; see [`ScgOptions::workers`]).
     pub workers: Option<usize>,
     /// RNG seed for the stochastic restarts.
     pub seed: Option<u64>,

@@ -42,9 +42,27 @@ fn sts9() -> CoverMatrix {
     CoverMatrix::from_rows(9, lines)
 }
 
+/// `C_n` with a chord to `i + 3` in every row: unit costs, a duality gap
+/// at `n = 30` (bound 10, cover 12), so all four Paper restarts run.
+fn chorded_cycle(n: usize) -> CoverMatrix {
+    CoverMatrix::from_rows(
+        n,
+        (0..n).map(|i| vec![i, (i + 1) % n, (i + 3) % n]).collect(),
+    )
+}
+
 fn solve_recorded(m: &CoverMatrix) -> (RecordingProbe, ucp_core::ScgOutcome) {
+    solve_recorded_on(m, 0)
+}
+
+fn solve_recorded_on(m: &CoverMatrix, workers: usize) -> (RecordingProbe, ucp_core::ScgOutcome) {
     let mut probe = RecordingProbe::new();
-    let out = Scg::run(SolveRequest::for_matrix(m).probe(&mut probe)).unwrap();
+    let out = Scg::run(
+        SolveRequest::for_matrix(m)
+            .workers(workers)
+            .probe(&mut probe),
+    )
+    .unwrap();
     (probe, out)
 }
 
@@ -142,24 +160,35 @@ fn restarts_bracket_and_track_the_incumbent() {
 
 #[test]
 fn phase_breakdown_accounts_for_the_solve() {
-    let (probe, out) = solve_recorded(&odd_cycle(101));
-    let total = out.total_time.as_secs_f64();
-    let sum = out.phase_times.total();
-    // Acceptance bar from the telemetry design: the six phases tile the
-    // solve, so their sum stays within 5% of the measured wall clock.
-    assert!(
-        (sum - total).abs() <= 0.05 * total.max(1e-6),
-        "phase sum {sum}s vs solve total {total}s"
-    );
-    // The probe's reconstruction from PhaseEnd events agrees with the
-    // breakdown the outcome carries (nested ascent seconds are *moved*
-    // between phases in the outcome, so totals — not slots — match).
-    let rebuilt = probe.phase_times();
-    assert!(
-        (rebuilt.total() - sum).abs() <= 0.05 * total.max(1e-6),
-        "probe-rebuilt total {} vs outcome total {sum}",
-        rebuilt.total()
-    );
+    for (name, m, workers) in [
+        ("inline C101", odd_cycle(101), 1),
+        ("pooled", chorded_cycle(30), 2),
+    ] {
+        let (probe, out) = solve_recorded_on(&m, workers);
+        if name == "pooled" {
+            assert_eq!(out.restart_workers, 2, "the restarts ran pooled");
+            assert!(out.iterations > 1);
+        }
+        let total = out.total_time.as_secs_f64();
+        let sum = out.phase_times.total();
+        // Acceptance bar from the telemetry design: the six phases tile
+        // the solve, so their sum stays within 5% of the measured wall
+        // clock — pooled tasks included, whose seconds are wall shares.
+        assert!(
+            (sum - total).abs() <= 0.05 * total.max(1e-6),
+            "{name}: phase sum {sum}s vs solve total {total}s"
+        );
+        // The probe's reconstruction from PhaseEnd events agrees with the
+        // breakdown the outcome carries (nested ascent seconds are
+        // *moved* between phases in the outcome, so totals — not slots —
+        // match).
+        let rebuilt = probe.phase_times();
+        assert!(
+            (rebuilt.total() - sum).abs() <= 0.05 * total.max(1e-6),
+            "{name}: probe-rebuilt total {} vs outcome total {sum}",
+            rebuilt.total()
+        );
+    }
 }
 
 #[test]

@@ -105,7 +105,7 @@ impl EngineConfig {
         if self.workers > 0 {
             self.workers
         } else {
-            thread::available_parallelism().map_or(1, usize::from)
+            ucp_core::available_cores()
         }
     }
 }

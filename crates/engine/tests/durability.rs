@@ -102,10 +102,12 @@ fn pooled_jobs_journal_every_checkpoint() {
     let dir = tmp_dir("pooled");
     let (engine, _) = start_journaled(&dir);
     let m = Arc::new(sts9());
+    let mut serial_spec = JobSpec::new(Preset::Paper);
+    serial_spec.workers = Some(1);
     let mut pooled_spec = JobSpec::new(Preset::Paper);
     pooled_spec.workers = Some(2);
     let serial = engine
-        .submit(JobSpec::new(Preset::Paper).to_request(Arc::clone(&m)))
+        .submit(serial_spec.to_request(Arc::clone(&m)))
         .expect("submit");
     let pooled = engine
         .submit(pooled_spec.to_request(Arc::clone(&m)))

@@ -295,77 +295,3 @@ mod tests {
         }
     }
 }
-
-/// Implicitly restricts a ZDD of primes (literal encoding of
-/// [`prime_implicants`]) to those covering the minterm `m` — the building
-/// block of Coudert-style implicit covering-matrix construction: instead of
-/// evaluating every prime cube against every minterm, each variable kills
-/// the incompatible literal in one `subset0` sweep.
-///
-/// # Example
-///
-/// ```
-/// use bdd::Bdd;
-/// use logic::primes::{decode_primes, prime_implicants, primes_covering_minterm};
-/// use zdd::Zdd;
-///
-/// let mut mgr = Bdd::default();
-/// let x = mgr.var(0);
-/// let y = mgr.var(1);
-/// let f = mgr.or(x, y);
-/// let mut z = Zdd::default();
-/// let primes = prime_implicants(&mut mgr, &mut z, f);
-/// // Minterm 01 (x=1, y=0) is covered only by the prime `x`.
-/// let covering = primes_covering_minterm(&mut z, primes, 0b01, 2);
-/// let cubes = decode_primes(&z, covering);
-/// assert_eq!(cubes.len(), 1);
-/// assert!(cubes[0].has_pos(0));
-/// ```
-pub fn primes_covering_minterm(zdd: &mut Zdd, primes: NodeId, m: u64, n: usize) -> NodeId {
-    let mut f = primes;
-    for v in 0..n as u32 {
-        // A prime covers m iff it has no literal contradicting m at v.
-        let bad = if m >> v & 1 == 1 {
-            neg_lit(v)
-        } else {
-            pos_lit(v)
-        };
-        f = zdd.subset0(f, bad);
-    }
-    f
-}
-
-#[cfg(test)]
-mod implicit_filter_tests {
-    use super::*;
-    use crate::cubelist::CubeList;
-
-    #[test]
-    fn implicit_filter_agrees_with_explicit_eval() {
-        let cover = CubeList::parse(4, &["1--0", "01-1", "--11", "0000"]).unwrap();
-        let mut mgr = Bdd::default();
-        let f = cover.to_bdd(&mut mgr);
-        let mut z = Zdd::default();
-        let primes = prime_implicants(&mut mgr, &mut z, f);
-        let all = decode_primes(&z, primes);
-        for m in 0..16u64 {
-            let filtered = primes_covering_minterm(&mut z, primes, m, 4);
-            let mut implicit = decode_primes(&z, filtered);
-            implicit.sort();
-            let mut explicit: Vec<Cube> = all.iter().copied().filter(|c| c.eval(m)).collect();
-            explicit.sort();
-            assert_eq!(implicit, explicit, "minterm {m:04b}");
-        }
-    }
-
-    #[test]
-    fn off_minterms_have_no_covering_primes() {
-        let cover = CubeList::parse(3, &["11-"]).unwrap();
-        let mut mgr = Bdd::default();
-        let f = cover.to_bdd(&mut mgr);
-        let mut z = Zdd::default();
-        let primes = prime_implicants(&mut mgr, &mut z, f);
-        let filtered = primes_covering_minterm(&mut z, primes, 0b000, 3);
-        assert_eq!(z.count(filtered), 0);
-    }
-}

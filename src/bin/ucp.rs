@@ -37,10 +37,11 @@
 //!
 //! `-j N` / `--workers N` runs the constructive restarts (or the
 //! disconnected partition blocks) on `min(N, restarts)` threads, whatever
-//! the instance's size; `-j 0` uses all cores. The answer is identical for
-//! every `N` — only the wall clock changes. Traces and checkpoints stay
-//! complete: restart events carry a `worker` tag and are merged in restart
-//! order.
+//! the instance's size. The default, `-j 0`, uses the cores no other solve
+//! in the process holds — all of them for a lone `ucp solve`. The answer is
+//! identical for every `N` — only the wall clock changes. Traces and
+//! checkpoints stay complete: restart events carry a `worker` tag and are
+//! merged in restart order, and phase seconds stay wall-clock seconds.
 //!
 //! `ucp batch <easy|difficult|challenging|all>` runs every instance of a
 //! suite as one job each through the `ucp_engine` worker pool: `-j N` sets
@@ -170,6 +171,11 @@ fn print_usage(w: &mut dyn Write) {
     );
     let _ = writeln!(w, "  help");
     let _ = writeln!(w, "presets: paper (default), fast, thorough");
+    let _ = writeln!(
+        w,
+        "-j: solve restart threads (default 0 = idle cores); batch/serve engine workers \
+         (default 0 = one per core)"
+    );
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
@@ -203,13 +209,14 @@ fn parse_preset(args: &[String]) -> Result<Preset, Box<dyn std::error::Error>> {
     }
 }
 
-/// Parses `-j N` / `--workers N` (`0` = all cores), defaulting to `default`.
+/// Parses `-j N` / `--workers N` (`0` = sized to the cores), defaulting to
+/// `default`.
 fn parse_workers(args: &[String], default: usize) -> Result<usize, Box<dyn std::error::Error>> {
     match args.iter().position(|a| a == "-j" || a == "--workers") {
         Some(i) => args
             .get(i + 1)
             .and_then(|n| n.parse::<usize>().ok())
-            .ok_or_else(|| usage("-j/--workers needs a thread count (0 = all cores)")),
+            .ok_or_else(|| usage("-j/--workers needs a thread count (0 = sized to the cores)")),
         None => Ok(default),
     }
 }
@@ -400,7 +407,7 @@ fn cmd_solve(args: &[String]) -> CliResult {
         ),
         None => None,
     };
-    let workers = parse_workers(args, 1)?;
+    let workers = parse_workers(args, 0)?;
     let preset = parse_preset(args)?;
     let node_budget = parse_node_budget(args)?;
     let coverage = parse_coverage(args)?;

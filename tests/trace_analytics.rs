@@ -19,6 +19,15 @@ fn cyclic(n: usize) -> CoverMatrix {
 /// (run_header + events + result line) and returns the raw trace bytes
 /// alongside the outcome.
 fn traced_solve(m: &CoverMatrix) -> (Vec<u8>, ucp::ucp_core::ScgOutcome) {
+    traced_solve_with(m, Preset::Fast, 0)
+}
+
+/// [`traced_solve`] at any preset and worker count.
+fn traced_solve_with(
+    m: &CoverMatrix,
+    preset: Preset,
+    workers: usize,
+) -> (Vec<u8>, ucp::ucp_core::ScgOutcome) {
     let mut buf = Vec::new();
     let mut sink = JsonlSink::new(&mut buf);
     sink.write_line("run_header", |o| {
@@ -28,7 +37,8 @@ fn traced_solve(m: &CoverMatrix) -> (Vec<u8>, ucp::ucp_core::ScgOutcome) {
     });
     let out = Scg::run(
         SolveRequest::for_matrix(m)
-            .preset(Preset::Fast)
+            .preset(preset)
+            .workers(workers)
             .seed(7)
             .probe(&mut sink),
     )
@@ -45,17 +55,12 @@ fn traced_solve(m: &CoverMatrix) -> (Vec<u8>, ucp::ucp_core::ScgOutcome) {
     (buf, out)
 }
 
-#[test]
-fn trace_summary_reconciles_with_the_outcome() {
-    let m = cyclic(14);
-    let (bytes, out) = traced_solve(&m);
-    let events = parse_trace(bytes.as_slice()).expect("trace parses");
-    let summary = TraceSummary::from_events(&events);
-
-    // Phase wall clock: both sides accumulate the same `phase_end`
-    // durations. Summation order may differ (the outcome merges
-    // per-block/per-worker accumulators), so agreement is to float
-    // round-off, far below the 0.1ms the `--stats` table prints.
+/// Asserts that the trace's `phase_end` seconds add up to the outcome's
+/// phase breakdown, phase by phase. Summation order may differ (the
+/// outcome merges per-block/per-worker accumulators, and pooled tasks'
+/// seconds are rescaled to wall-clock shares on both sides), so agreement
+/// is to float round-off, far below the 0.1ms the `--stats` table prints.
+fn assert_phases_agree(summary: &TraceSummary, out: &ucp::ucp_core::ScgOutcome) {
     for phase in Phase::ALL {
         let (traced, lived) = (summary.phase_times.get(phase), out.phase_times.get(phase));
         assert!(
@@ -64,6 +69,22 @@ fn trace_summary_reconciles_with_the_outcome() {
             phase.name()
         );
     }
+}
+
+#[test]
+fn trace_summary_reconciles_with_the_outcome() {
+    let m = cyclic(14);
+    let (bytes, out) = traced_solve(&m);
+    let events = parse_trace(bytes.as_slice()).expect("trace parses");
+    let summary = TraceSummary::from_events(&events);
+    assert_phases_agree(&summary, &out);
+
+    // A pooled solve's trace replays rescaled `phase_end` events: it
+    // agrees with its outcome too.
+    let (bytes, pooled) = traced_solve_with(&cyclic(30), Preset::Paper, 2);
+    assert_eq!(pooled.restart_workers, 2, "the restarts ran pooled");
+    let events = parse_trace(bytes.as_slice()).expect("pooled trace parses");
+    assert_phases_agree(&TraceSummary::from_events(&events), &pooled);
 
     // Subgradient work: the ascent-delimited count in the trace is the
     // exact number of iterations the solve reported.
