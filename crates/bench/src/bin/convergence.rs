@@ -6,7 +6,7 @@
 
 use std::fs::{self, File};
 use std::io::BufWriter;
-use ucp_core::{subgradient_ascent_probed, SubgradientOptions};
+use ucp_core::{subgradient_ascent, Constraints, SubgradientOptions};
 use ucp_telemetry::JsonlSink;
 use workloads::suite;
 
@@ -39,7 +39,14 @@ fn main() {
         o.field_u64("rows", inst.matrix.num_rows() as u64);
         o.field_u64("cols", inst.matrix.num_cols() as u64);
     });
-    let r = subgradient_ascent_probed(&inst.matrix, &opts, None, None, &mut sink);
+    let r = subgradient_ascent(
+        &inst.matrix,
+        &opts,
+        &Constraints::unate(),
+        None,
+        None,
+        &mut sink,
+    );
     sink.write_line("result", |o| {
         o.field_f64("lb", r.lb);
         o.field_f64("best_cost", r.best_cost);

@@ -11,8 +11,9 @@
 //! combinatorial bounds plus a convenience report.
 
 use crate::dual::dual_ascent;
-use crate::subgradient::{subgradient_ascent, SubgradientOptions};
+use crate::subgradient::{ascent_impl, SubgradientOptions};
 use cover::CoverMatrix;
+use ucp_telemetry::NoopProbe;
 
 /// A greedy maximal independent set of rows (pairwise column-disjoint),
 /// picked in ascending row-size order — the classical seed of the MIS bound.
@@ -73,7 +74,8 @@ pub fn dual_ascent_bound(a: &CoverMatrix) -> f64 {
 /// The Lagrangian lower bound after a (default-length) subgradient phase,
 /// initialised from dual ascent so that Proposition 1's dominance holds.
 pub fn lagrangian_bound(a: &CoverMatrix) -> f64 {
-    let r = subgradient_ascent(a, &SubgradientOptions::default(), None, None);
+    let opts = SubgradientOptions::default();
+    let r = ascent_impl(a, &opts, None, None, None, &mut NoopProbe);
     r.lb.max(dual_ascent_bound(a))
 }
 

@@ -51,6 +51,20 @@ impl MulticoverCtx {
             bounds: cons.groups().iter().map(|g| g.bound()).collect(),
         }
     }
+
+    /// The context a public entry point runs under: `None` for unate
+    /// constraints (the unate kernels), otherwise the flattened `cons`
+    /// after validating it against `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if non-unate `cons` does not validate against `a`.
+    pub fn checked(a: &CoverMatrix, cons: &Constraints) -> Option<Self> {
+        (!cons.is_unate()).then(|| {
+            cons.validate_for(a).expect("constraints fit the instance");
+            MulticoverCtx::new(a, cons)
+        })
+    }
 }
 
 /// The rating rule for the next column.
@@ -622,87 +636,45 @@ pub(crate) fn greedy_pass_constrained(
     Some(cost)
 }
 
-/// [`best_greedy_with_scratch`] for the constrained pass: every rule in
-/// `rules`, cheapest admissible cover wins.
-pub(crate) fn best_greedy_constrained_with_scratch(
-    a: &CoverMatrix,
-    view: &SparseView,
-    c_tilde: &[f64],
-    rules: &[GammaRule],
-    ctx: &MulticoverCtx,
-    ws: &mut GreedyScratch,
-) -> Option<(Solution, f64)> {
-    let mut best: Option<(Solution, f64)> = None;
-    for &rule in rules {
-        if let Some(cost) = greedy_pass_constrained(a, view, c_tilde, rule, ctx, ws) {
-            match &best {
-                Some((_, bc)) if *bc <= cost => {}
-                _ => best = Some((ws.extract_solution(), cost)),
-            }
-        }
-    }
-    best
-}
-
-/// Runs one constrained Lagrangian greedy pass under `cons` (multicover
-/// demand + GUB groups) and returns the cover, or `None` when the pass
-/// cannot meet demand under the group bounds.
+/// Runs one Lagrangian greedy pass with the given rule under `cons` and
+/// returns the cover, or `None` when no cover exists: an uncoverable row,
+/// or — for multicover demand and GUB groups — a pass that cannot meet
+/// demand under the group bounds. Unate constraints run the unate pass,
+/// anything else the constrained one.
+///
+/// `c_tilde` are the Lagrangian costs steering the choice; the returned
+/// cover is made irredundant under the matrix's *original* costs.
 ///
 /// # Panics
 ///
-/// Panics if `c_tilde.len() != a.num_cols()` or `cons` does not validate
-/// against `a` (validate with [`Constraints::validate_for`] first).
+/// Panics if `c_tilde.len() != a.num_cols()`, or if non-unate `cons`
+/// does not validate against `a` (validate with
+/// [`Constraints::validate_for`] first).
 ///
 /// # Example
 ///
 /// ```
 /// use cover::{Constraints, CoverMatrix};
-/// use ucp_core::greedy::{lagrangian_greedy_constrained, GammaRule};
+/// use ucp_core::greedy::{lagrangian_greedy, GammaRule};
 ///
-/// let m = CoverMatrix::from_rows(3, vec![vec![0, 1, 2], vec![1, 2]]);
+/// let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![1, 2]]);
+/// let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Linear, &Constraints::unate()).unwrap();
+/// assert_eq!(sol.cols(), &[1]); // the middle column covers everything
+///
 /// let cons = Constraints::new().coverage(vec![2, 1]);
-/// let sol = lagrangian_greedy_constrained(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
+/// let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
 /// assert!(cons.is_satisfied(&m, &sol));
 /// ```
-pub fn lagrangian_greedy_constrained(
+pub fn lagrangian_greedy(
     a: &CoverMatrix,
     c_tilde: &[f64],
     rule: GammaRule,
     cons: &Constraints,
 ) -> Option<Solution> {
     assert_eq!(c_tilde.len(), a.num_cols(), "one rating cost per column");
-    cons.validate_for(a).expect("constraints fit the instance");
-    let ctx = MulticoverCtx::new(a, cons);
+    let mctx = MulticoverCtx::checked(a, cons);
     let mut ws = GreedyScratch::new(a);
-    greedy_pass_constrained(a, a.sparse(), c_tilde, rule, &ctx, &mut ws)?;
-    Some(ws.extract_solution())
-}
-
-/// Runs one Lagrangian greedy pass with the given rule.
-///
-/// `c_tilde` are the Lagrangian costs steering the choice; the returned
-/// cover is made irredundant under the matrix's *original* costs. Returns
-/// `None` if the matrix has an uncoverable row.
-///
-/// # Panics
-///
-/// Panics if `c_tilde.len() != a.num_cols()`.
-///
-/// # Example
-///
-/// ```
-/// use cover::CoverMatrix;
-/// use ucp_core::greedy::{lagrangian_greedy, GammaRule};
-///
-/// let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![1, 2]]);
-/// let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Linear).unwrap();
-/// assert_eq!(sol.cols(), &[1]); // the middle column covers everything
-/// ```
-pub fn lagrangian_greedy(a: &CoverMatrix, c_tilde: &[f64], rule: GammaRule) -> Option<Solution> {
-    assert_eq!(c_tilde.len(), a.num_cols(), "one rating cost per column");
-    let mut ws = GreedyScratch::new(a);
-    greedy_pass(a, a.sparse(), c_tilde, rule, &mut ws)?;
-    Some(ws.extract_solution())
+    best_greedy(a, a.sparse(), c_tilde, &[rule], mctx.as_ref(), &mut ws).map(|(sol, _)| sol)
 }
 
 fn rate(
@@ -740,19 +712,25 @@ fn rate(
     }
 }
 
-/// [`best_greedy`] over a caller-provided scratch: runs every rule,
-/// materialising a `Solution` only when a pass improves on the covers
-/// seen so far.
-pub(crate) fn best_greedy_with_scratch(
+/// Runs every rule in `rules` over a caller-provided scratch — the
+/// constrained pass under `mctx`, the unate pass without — and returns
+/// the cheapest cover found (by original cost), materialising a
+/// `Solution` only when a pass improves on the covers seen so far.
+pub(crate) fn best_greedy(
     a: &CoverMatrix,
     view: &SparseView,
     c_tilde: &[f64],
     rules: &[GammaRule],
+    mctx: Option<&MulticoverCtx>,
     ws: &mut GreedyScratch,
 ) -> Option<(Solution, f64)> {
     let mut best: Option<(Solution, f64)> = None;
     for &rule in rules {
-        if let Some(cost) = greedy_pass(a, view, c_tilde, rule, ws) {
+        let pass = match mctx {
+            None => greedy_pass(a, view, c_tilde, rule, ws),
+            Some(ctx) => greedy_pass_constrained(a, view, c_tilde, rule, ctx, ws),
+        };
+        if let Some(cost) = pass {
             match &best {
                 Some((_, bc)) if *bc <= cost => {}
                 _ => best = Some((ws.extract_solution(), cost)),
@@ -760,17 +738,6 @@ pub(crate) fn best_greedy_with_scratch(
         }
     }
     best
-}
-
-/// Runs every rule in `rules` and returns the cheapest cover found (by
-/// original cost), or `None` on an uncoverable matrix.
-pub fn best_greedy(
-    a: &CoverMatrix,
-    c_tilde: &[f64],
-    rules: &[GammaRule],
-) -> Option<(Solution, f64)> {
-    let mut ws = GreedyScratch::new(a);
-    best_greedy_with_scratch(a, a.sparse(), c_tilde, rules, &mut ws)
 }
 
 #[cfg(test)]
@@ -794,7 +761,8 @@ mod tests {
             GammaRule::LinearLog,
             GammaRule::Occurrence,
         ] {
-            let sol = lagrangian_greedy(&m, m.costs(), rule).expect("coverable");
+            let sol =
+                lagrangian_greedy(&m, m.costs(), rule, &Constraints::unate()).expect("coverable");
             assert!(sol.is_feasible(&m), "rule {rule:?}");
             assert_eq!(sol.cost(&m), 3.0, "rule {rule:?} should hit the optimum");
         }
@@ -806,7 +774,8 @@ mod tests {
         // λ large makes all columns free: everything selected, then the
         // irredundant pass thins it back to a minimal cover.
         let c_tilde = vec![-1.0; 5];
-        let sol = lagrangian_greedy(&m, &c_tilde, GammaRule::Linear).unwrap();
+        let sol =
+            lagrangian_greedy(&m, &c_tilde, GammaRule::Linear, &Constraints::unate()).unwrap();
         assert!(sol.is_feasible(&m));
         assert_eq!(sol.cost(&m), 3.0);
     }
@@ -814,14 +783,17 @@ mod tests {
     #[test]
     fn infeasible_matrix_returns_none() {
         let m = CoverMatrix::from_rows(1, vec![vec![0], vec![]]);
-        assert!(lagrangian_greedy(&m, m.costs(), GammaRule::Linear).is_none());
+        assert!(
+            lagrangian_greedy(&m, m.costs(), GammaRule::Linear, &Constraints::unate()).is_none()
+        );
     }
 
     #[test]
     fn greedy_prefers_cheap_wide_columns() {
         // Column 2 covers both rows; columns 0, 1 cover one each.
         let m = CoverMatrix::from_rows(3, vec![vec![0, 2], vec![1, 2]]);
-        let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Linear).unwrap();
+        let sol =
+            lagrangian_greedy(&m, m.costs(), GammaRule::Linear, &Constraints::unate()).unwrap();
         assert_eq!(sol.cols(), &[2]);
     }
 
@@ -830,7 +802,8 @@ mod tests {
         // Row 1 is covered by a single column (1): rule 4 must pick it first
         // even though column 0 covers more rows.
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![1], vec![0, 2], vec![0, 2]]);
-        let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Occurrence).unwrap();
+        let sol =
+            lagrangian_greedy(&m, m.costs(), GammaRule::Occurrence, &Constraints::unate()).unwrap();
         assert!(sol.contains(1));
         assert!(sol.is_feasible(&m));
     }
@@ -852,10 +825,12 @@ mod tests {
     #[test]
     fn best_of_rules_never_worse_than_each() {
         let m = cycle5();
-        let (best, cost) = best_greedy(&m, m.costs(), &GammaRule::FAST).unwrap();
+        let mut ws = GreedyScratch::new(&m);
+        let (best, cost) =
+            best_greedy(&m, m.sparse(), m.costs(), &GammaRule::FAST, None, &mut ws).unwrap();
         assert!(best.is_feasible(&m));
         for rule in GammaRule::FAST {
-            let sol = lagrangian_greedy(&m, m.costs(), rule).unwrap();
+            let sol = lagrangian_greedy(&m, m.costs(), rule, &Constraints::unate()).unwrap();
             assert!(cost <= sol.cost(&m));
         }
     }
@@ -871,7 +846,8 @@ mod tests {
         let first = ws.extract_solution();
         greedy_pass(&m, view, m.costs(), GammaRule::Log, &mut ws).unwrap();
         let second = ws.extract_solution();
-        let fresh = lagrangian_greedy(&m, m.costs(), GammaRule::Log).unwrap();
+        let fresh =
+            lagrangian_greedy(&m, m.costs(), GammaRule::Log, &Constraints::unate()).unwrap();
         assert_eq!(second, fresh);
         assert!(first.is_feasible(&m));
     }
@@ -913,7 +889,7 @@ mod tests {
         // enough.
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1, 2], vec![2]]);
         let cons = Constraints::new().coverage(vec![2, 1]);
-        let sol = lagrangian_greedy_constrained(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
+        let sol = lagrangian_greedy(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
         assert!(sol.len() >= 2);
         assert!(cons.is_satisfied(&m, &sol));
     }
@@ -925,7 +901,7 @@ mod tests {
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![0, 1, 2]]);
         let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1], 1)]);
         let cheap: Vec<f64> = vec![-1.0, -1.0, 5.0];
-        let sol = lagrangian_greedy_constrained(&m, &cheap, GammaRule::Linear, &cons).unwrap();
+        let sol = lagrangian_greedy(&m, &cheap, GammaRule::Linear, &cons).unwrap();
         assert!(cons.is_satisfied(&m, &sol));
         let in_group = sol.cols().iter().filter(|&&j| j < 2).count();
         assert!(in_group <= 1);
@@ -959,7 +935,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0],
         );
         let cons = Constraints::new().coverage(vec![2, 1, 1]);
-        let sol = lagrangian_greedy_constrained(&m, &[-1.0; 4], GammaRule::Linear, &cons).unwrap();
+        let sol = lagrangian_greedy(&m, &[-1.0; 4], GammaRule::Linear, &cons).unwrap();
         assert!(cons.is_satisfied(&m, &sol));
     }
 
@@ -994,7 +970,7 @@ mod tests {
                 let c_tilde: Vec<f64> = (0..m.num_cols())
                     .map(|j| m.cost(j) - 0.7 * (j % 3) as f64)
                     .collect();
-                let live = lagrangian_greedy(m, &c_tilde, rule);
+                let live = lagrangian_greedy(m, &c_tilde, rule, &Constraints::unate());
                 let dense = lagrangian_greedy_dense(m, &c_tilde, rule);
                 assert_eq!(live, dense, "matrix {mi}, rule {rule:?}");
             }

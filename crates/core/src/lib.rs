@@ -13,12 +13,15 @@
 //! * [`greedy`] — four Lagrangian-cost-driven greedy primal heuristics
 //!   (§3.5);
 //! * [`subgradient`] — the two-sided subgradient scheme tightening `λ` and
-//!   `μ` against each other (§3.2–3.3, eq. 2);
+//!   `μ` against each other (§3.2–3.3, eq. 2), behind one entry point
+//!   ([`subgradient_ascent`]) for unate and constrained instances;
 //! * [`penalty`] — Lagrangian penalties (eqs. 3–4) and dual penalties
 //!   (eqs. 5–6), the generalisation of the limit-bound theorem (§3.6);
 //! * [`bounds`] — the four lower bounds of Proposition 1 side by side;
 //! * [`scg`] — the full constructive driver of Fig. 2 with its stochastic
-//!   restarts ([`Scg`]);
+//!   restarts ([`Scg`]): one solve driver for every constraint kind, whose
+//!   core stage is the restarts on the cyclic core for unate solves and a
+//!   jittered-ascent chain for set-multicover/GUB solves;
 //! * [`restart`] — the restart scheduler running those runs (or partition
 //!   blocks) on the idle cores, or on `min(workers, tasks)` threads when
 //!   asked, without changing the answer;
@@ -66,10 +69,7 @@ pub use metrics::SolveMetrics;
 pub use request::{CancelFlag, Preset, SolveError, SolveRequest};
 pub use restart::{available_cores, restart_seed, splitmix64};
 pub use scg::{Scg, ScgOptions, ScgOutcome};
-pub use subgradient::{
-    subgradient_ascent, subgradient_ascent_constrained, subgradient_ascent_constrained_probed,
-    subgradient_ascent_probed, HistoryPoint, SubgradientOptions, SubgradientResult,
-};
+pub use subgradient::{subgradient_ascent, HistoryPoint, SubgradientOptions, SubgradientResult};
 pub use wire::{
     JobResultDto, JobSpec, JobState, JobStatusDto, SubmitBody, WireCode, WireError, WIRE_API,
     WIRE_API_V1,

@@ -17,7 +17,6 @@
 use crate::scg::ScgOutcome;
 use cover::GcPauseHistogram;
 use std::sync::Arc;
-use std::time::Duration;
 use ucp_metrics::{Counter, Gauge, Histogram, Registry};
 use ucp_telemetry::Phase;
 
@@ -183,12 +182,6 @@ impl SolveMetrics {
         self.zdd_peak_nodes.set_max(z.peak_nodes as f64);
         self.zdd_gc_pause_seconds
             .absorb(&z.gc_pause.counts(), z.gc_pause.total().as_secs_f64());
-    }
-
-    /// Total queue-independent solve time recorded so far (the
-    /// `ucp_core_solve_seconds` histogram's sum), mainly for tests.
-    pub fn total_solve_time(&self) -> Duration {
-        Duration::from_secs_f64(self.solve_seconds.sum().max(0.0))
     }
 }
 

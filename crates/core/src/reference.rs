@@ -211,7 +211,7 @@ fn rate_dense(
     }
 }
 
-/// Dense [`crate::greedy::best_greedy`].
+/// Dense best-of-rules unate greedy: the cheapest cover over `rules`.
 pub fn best_greedy_dense(
     a: &CoverMatrix,
     c_tilde: &[f64],

@@ -507,9 +507,8 @@ impl<'a> SolveRequest<'a> {
     /// [`checkpoint_sink`](Self::checkpoint_sink) callback. With `n = 0` the solve is
     /// bit-identical to one without checkpointing.
     ///
-    /// Checkpoints are emitted on the serial single-core unate path and
-    /// the multicover path; partitioned and pooled solves run without
-    /// them (resuming still works for pooled unate solves).
+    /// Every unpartitioned solve emits them, unate or multicover, pooled
+    /// or inline; partitioned solves run without them.
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.options.checkpoint_every = n;
         self
@@ -647,32 +646,17 @@ impl Scg {
         if cancel_ref.is_some_and(CancelFlag::is_cancelled) {
             return Err(SolveError::Cancelled);
         }
-        // Constraints are checked before any solving: a malformed or
-        // infeasible-by-construction spec fails typed, not mid-solve.
+        // Constraints are checked once, before any solving: a malformed or
+        // infeasible-by-construction spec fails typed, not mid-solve, and
+        // the solve builds its constraint context without re-checking.
         // All-ones coverage with no groups is the unate problem and takes
         // the unate path bit-for-bit.
         if constraints != Constraints::default() {
             constraints.validate_for(m)?;
         }
-        let unate = constraints.is_unate();
         let resume_ref = resume.as_deref();
-        // Monomorphised dispatch over one generic probe: requests
-        // without a probe or sink keep the zero-cost NoopProbe path.
-        fn go<P: Probe>(
-            solver: &Scg,
-            m: &CoverMatrix,
-            constraints: &Constraints,
-            unate: bool,
-            cancel: Option<&CancelFlag>,
-            resume: Option<&SolverCheckpoint>,
-            probe: &mut P,
-        ) -> Result<ScgOutcome, SolveError> {
-            if unate {
-                solver.solve_impl(m, cancel, resume, probe)
-            } else {
-                solver.solve_multicover_impl(m, constraints, cancel, resume, probe)
-            }
-        }
+        // Monomorphised over one generic probe: requests without a probe
+        // or sink keep the zero-cost NoopProbe path.
         let (out, dropped) = match (probe.as_mut(), ckpt_sink.as_mut()) {
             (Some(slot), Some(sink)) => {
                 let mut tap = CheckpointTap {
@@ -682,28 +666,13 @@ impl Scg {
                     cols: m.num_cols(),
                     nnz: m.nnz(),
                 };
-                let out = go(
-                    &solver,
-                    m,
-                    &constraints,
-                    unate,
-                    cancel_ref,
-                    resume_ref,
-                    &mut tap,
-                );
+                let out = solver.solve_impl(m, &constraints, cancel_ref, resume_ref, &mut tap);
                 (out, slot.get().events_dropped())
             }
             (Some(slot), None) => {
                 let mut dyn_probe = DynProbe(slot.get());
-                let out = go(
-                    &solver,
-                    m,
-                    &constraints,
-                    unate,
-                    cancel_ref,
-                    resume_ref,
-                    &mut dyn_probe,
-                );
+                let out =
+                    solver.solve_impl(m, &constraints, cancel_ref, resume_ref, &mut dyn_probe);
                 (out, slot.get().events_dropped())
             }
             (None, Some(sink)) => {
@@ -714,27 +683,12 @@ impl Scg {
                     cols: m.num_cols(),
                     nnz: m.nnz(),
                 };
-                let out = go(
-                    &solver,
-                    m,
-                    &constraints,
-                    unate,
-                    cancel_ref,
-                    resume_ref,
-                    &mut tap,
-                );
+                let out = solver.solve_impl(m, &constraints, cancel_ref, resume_ref, &mut tap);
                 (out, 0)
             }
             (None, None) => {
-                let out = go(
-                    &solver,
-                    m,
-                    &constraints,
-                    unate,
-                    cancel_ref,
-                    resume_ref,
-                    &mut NoopProbe,
-                );
+                let out =
+                    solver.solve_impl(m, &constraints, cancel_ref, resume_ref, &mut NoopProbe);
                 (out, 0)
             }
         };

@@ -1,6 +1,14 @@
 //! The `ZDD_SCG` constructive driver (Fig. 2 of the paper).
 //!
-//! The solve runs in two stages. The *reduce* stage — implicit + explicit
+//! One driver solves every constraint kind: it sets up one halt
+//! condition, runs the kind's core stage, and shares the checkpoint
+//! resume filter, the checkpoint emitter and the postprocess phase.
+//! Unate covering is the `b ≡ 1`, no-GUB case of set multicover; only its
+//! core stage differs. A set-multicover/GUB solve skips the reductions
+//! (they are theorems about `b ≡ 1` covers) and runs a chain of
+//! generalized ascents from jittered multipliers on the whole instance.
+//!
+//! A unate solve runs in two stages. The *reduce* stage — implicit + explicit
 //! reductions to the cyclic core, partitioning, and the initial subgradient
 //! ascent — is deterministic and runs exactly once per solve. The *restarts*
 //! stage then executes the `NumIter` constructive runs, each repeatedly
@@ -17,21 +25,22 @@
 //! scheduler and its determinism contract: the answer is identical for
 //! every worker count.
 
+use crate::checkpoint::SolverCheckpoint;
 use crate::dual::dual_ascent;
+use crate::greedy::MulticoverCtx;
 use crate::penalty::{dual_penalties, lagrangian_penalties};
+use crate::request::{CancelFlag, SolveError};
 #[cfg(test)]
-use crate::request::SolveRequest;
-use crate::request::{CancelFlag, Preset, SolveError};
+use crate::request::{Preset, SolveRequest};
 use crate::restart::{
     restart_seed, run_in_order, CertifiedAt, CoreBudget, Incumbent, RestartCtx, Share,
 };
 use crate::subgradient::{
-    certified, lb_ceil_of, subgradient_ascent_constrained_probed, subgradient_ascent_probed,
-    SubgradientOptions, SubgradientResult,
+    ascent_impl, certified, lb_ceil_of, SubgradientOptions, SubgradientResult,
 };
 use cover::{
-    cyclic_core_halted, Constraints, CoreAbort, CoreOptions, CoverMatrix, Halt, HaltReason,
-    Reducer, Solution,
+    cyclic_core_halted, Constraints, CoreAbort, CoreOptions, CoreResult, CoverMatrix, Halt,
+    HaltReason, Reducer, Solution,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -84,11 +93,13 @@ pub struct ScgOptions {
     pub workers: usize,
     /// Emit an [`Event::Checkpoint`] (resumable solver state) after the
     /// initial subgradient ascent and after every `checkpoint_every`-th
-    /// constructive run. `0` (the default) disables emission entirely —
-    /// the solve is bit-identical to one without the field. Pooled and
-    /// inline restarts emit the same checkpoints: the one after run `k`
-    /// waits for runs up to `k` and carries their best. Multicover solves
-    /// checkpoint per ascent; only partition blocks skip checkpoints.
+    /// run of the core stage: a constructive run for unate solves, a
+    /// jittered ascent for multicover ones. One emitter serves both kinds
+    /// and stamps the checkpoint with the kind. `0` (the default)
+    /// disables emission entirely — the solve is bit-identical to one
+    /// without the field. Pooled and inline restarts emit the same
+    /// checkpoints: the one after run `k` waits for runs up to `k` and
+    /// carries their best. Only partition blocks skip checkpoints.
     pub checkpoint_every: usize,
 }
 
@@ -109,14 +120,6 @@ impl Default for ScgOptions {
             workers: 0,
             checkpoint_every: 0,
         }
-    }
-}
-
-impl ScgOptions {
-    /// The option set of a named [`Preset`] — shorthand for
-    /// [`Preset::options`].
-    pub fn preset(preset: Preset) -> Self {
-        preset.options()
     }
 }
 
@@ -247,43 +250,53 @@ impl RestartsResult {
     }
 }
 
-/// Everything `solve_core` learned about one connected cyclic core.
-struct CoreOutcome {
-    /// Best core-level cover found (`None` only if even the initial
-    /// ascent produced no heuristic cover).
-    solution: Option<Solution>,
-    /// The core's Lagrangian lower bound (rounded up under integer costs).
-    lb: f64,
+/// The search effort an outcome reports.
+struct Effort {
+    /// Constructive runs (ascents, for multicover solves) executed.
     iterations: usize,
     sub_iters: usize,
-    sub_seconds: f64,
-    constructive_seconds: f64,
-    /// Constructive runs skipped because a checkpoint accounted for them.
-    resumed: usize,
     /// Pool size of the restarts stage (`1` when it ran inline or not at
     /// all).
     workers: usize,
+    /// Runs skipped because a checkpoint accounted for them.
+    resumed: usize,
 }
 
-/// Checkpoint context for the restarts stage of the single connected
-/// core: emission cadence, the solve's start instant (checkpoints carry
-/// elapsed wall clock) and a validated checkpoint to resume from.
+/// Everything a core stage learned about the matrix it solved: one
+/// connected cyclic core, or a whole multicover instance.
+struct CoreOutcome {
+    /// Best cover of that matrix found (`None` only if no ascent
+    /// produced a heuristic cover).
+    solution: Option<Solution>,
+    /// Its lower bound (rounded up under integer costs).
+    lb: f64,
+    effort: Effort,
+    sub_seconds: f64,
+    constructive_seconds: f64,
+}
+
+/// Checkpoint context for the core stage of an unpartitioned solve:
+/// emission cadence, the solve's start instant (checkpoints carry
+/// elapsed wall clock), the constraint kind and a validated checkpoint
+/// to resume from.
 ///
-/// Only the unpartitioned path gets one — partition blocks pass `None`
-/// and neither emit nor resume, keeping the checkpoint's core fingerprint
-/// unambiguous.
+/// Partition blocks pass `None` and neither emit nor resume, keeping the
+/// checkpoint's core fingerprint unambiguous.
 struct CkptCtx<'c> {
-    /// Emit after every `every`-th constructive run (`0` = never).
+    /// Emit after every `every`-th run (`0` = never).
     every: usize,
     /// When the solve started (for `elapsed_seconds`).
     start: Instant,
+    /// `true` for the multicover core stage.
+    multicover: bool,
     /// Validated checkpoint whose runs are already accounted for.
-    resume: Option<&'c crate::checkpoint::SolverCheckpoint>,
+    resume: Option<&'c SolverCheckpoint>,
 }
 
 impl CkptCtx<'_> {
-    /// Emits one [`Event::Checkpoint`] snapshot. Callers gate on the
-    /// cadence; this only assembles the payload.
+    /// Emits one [`Event::Checkpoint`] snapshot of the core stage's
+    /// state on `ae`, the matrix it solves. Callers gate on the cadence;
+    /// this only assembles the payload.
     fn emit<P: Probe>(
         &self,
         ae: &CoverMatrix,
@@ -305,7 +318,7 @@ impl CkptCtx<'_> {
                 .solution
                 .as_ref()
                 .map(|s| s.cols().iter().map(|&c| c as u32).collect()),
-            multicover: false,
+            multicover: self.multicover,
         });
     }
 }
@@ -316,14 +329,19 @@ impl Scg {
         Scg { opts }
     }
 
-    /// The unate solve pipeline behind [`Scg::run`]: reduce once,
-    /// partition, then the restarts stage, with one [`Halt`] (deadline +
-    /// cancellation) spanning everything.
+    /// The solve pipeline behind [`Scg::run`], for every constraint
+    /// kind: one [`Halt`] (deadline + cancellation) spanning everything,
+    /// the kind's core stage, then one postprocess. Only the core stage
+    /// differs by kind. A unate solve reduces once, partitions and runs
+    /// [`Scg::solve_core`] on the cyclic core; a multicover solve runs
+    /// [`Scg::multicover_core`] on the whole instance. The resume filter,
+    /// the checkpoint emitter and the outcome are shared.
     pub(crate) fn solve_impl<P: Probe>(
         &self,
         m: &CoverMatrix,
+        cons: &Constraints,
         cancel: Option<&CancelFlag>,
-        resume: Option<&crate::checkpoint::SolverCheckpoint>,
+        resume: Option<&SolverCheckpoint>,
         probe: &mut P,
     ) -> Result<ScgOutcome, SolveError> {
         let start = Instant::now();
@@ -335,250 +353,202 @@ impl Scg {
             deadline: self.opts.time_limit.map(|budget| start + budget),
             cancel: cancel.cloned(),
         };
-        let integer_costs = m.integer_costs();
+        let multicover = !cons.is_unate();
         let mut phases = PhaseTimes::default();
 
         // ---- Reduce stage: reductions to the cyclic core (run once). ----
-        let core_res = cyclic_core_halted(m, &self.opts.core, &halt, &mut *probe).map_err(
-            |abort| match abort {
-                CoreAbort::Halted(HaltReason::Cancelled) => SolveError::Cancelled,
-                CoreAbort::Halted(HaltReason::Expired) => SolveError::Expired,
-                CoreAbort::Exhausted(e) => SolveError::ResourceExhausted(e),
-            },
-        )?;
-        phases.add(
-            Phase::ImplicitReduction,
-            core_res.implicit_time.as_secs_f64(),
-        );
-        phases.add(
-            Phase::ExplicitReduction,
-            core_res.explicit_time.as_secs_f64(),
-        );
-        if core_res.infeasible {
-            return Ok(ScgOutcome {
-                solution: Solution::new(),
-                cost: f64::INFINITY,
-                lower_bound: f64::INFINITY,
-                proven_optimal: false,
-                infeasible: true,
-                iterations: 0,
-                subgradient_iterations: 0,
-                restart_workers: 1,
-                cc_time: core_res.cc_time,
-                total_time: start.elapsed(),
-                core_rows: core_res.core.num_rows(),
-                core_cols: core_res.core.num_cols(),
-                phase_times: phases,
-                zdd_stats: core_res.zdd_stats,
-                degraded: core_res.degraded,
-                dropped_events: 0,
-                resumed: 0,
-            });
-        }
-        let fixed_cost: f64 = core_res.fixed_cols.iter().map(|&j| m.cost(j)).sum();
-        let ae = &core_res.core;
-
-        if core_res.is_solved() {
-            let solution = Solution::from_cols(core_res.fixed_cols.clone());
-            return Ok(ScgOutcome {
-                cost: fixed_cost,
-                lower_bound: fixed_cost,
-                proven_optimal: true,
-                infeasible: false,
-                iterations: 0,
-                subgradient_iterations: 0,
-                restart_workers: 1,
-                cc_time: core_res.cc_time,
-                total_time: start.elapsed(),
-                core_rows: 0,
-                core_cols: 0,
-                solution,
-                phase_times: phases,
-                zdd_stats: core_res.zdd_stats,
-                degraded: core_res.degraded,
-                dropped_events: 0,
-                resumed: 0,
-            });
-        }
-
-        // ---- Partitioning (§2): independent blocks solve independently. ----
-        if self.opts.partition {
-            probe.record(Event::PhaseBegin {
-                phase: Phase::Partition,
-            });
-            let partition_start = Instant::now();
-            let blocks = cover::partition(ae);
-            let partition_time = partition_start.elapsed().as_secs_f64();
-            phases.add(Phase::Partition, partition_time);
-            probe.record(Event::PhaseEnd {
-                phase: Phase::Partition,
-                seconds: partition_time,
-            });
-            if blocks.len() > 1 {
-                return Ok(self.solve_blocks(m, &core_res, blocks, start, &halt, phases, probe));
+        // Essential-column, dominance and partitioning rules (and the
+        // penalty-driven fixing built on them) are theorems about `b ≡ 1`
+        // covers, so a multicover solve skips the stage and works on the
+        // whole instance.
+        let reduced = if multicover {
+            if let Some(reason) = halt.check() {
+                return Err(halted(reason));
             }
-        }
+            None
+        } else {
+            let core_res =
+                cyclic_core_halted(m, &self.opts.core, &halt, &mut *probe).map_err(|abort| {
+                    match abort {
+                        CoreAbort::Halted(reason) => halted(reason),
+                        CoreAbort::Exhausted(e) => SolveError::ResourceExhausted(e),
+                    }
+                })?;
+            phases.add(
+                Phase::ImplicitReduction,
+                core_res.implicit_time.as_secs_f64(),
+            );
+            phases.add(
+                Phase::ExplicitReduction,
+                core_res.explicit_time.as_secs_f64(),
+            );
+            if core_res.infeasible {
+                return Ok(ScgOutcome {
+                    solution: Solution::new(),
+                    cost: f64::INFINITY,
+                    lower_bound: f64::INFINITY,
+                    proven_optimal: false,
+                    infeasible: true,
+                    iterations: 0,
+                    subgradient_iterations: 0,
+                    restart_workers: 1,
+                    cc_time: core_res.cc_time,
+                    total_time: start.elapsed(),
+                    core_rows: core_res.core.num_rows(),
+                    core_cols: core_res.core.num_cols(),
+                    phase_times: phases,
+                    zdd_stats: core_res.zdd_stats,
+                    degraded: core_res.degraded,
+                    dropped_events: 0,
+                    resumed: 0,
+                });
+            }
+            if core_res.is_solved() {
+                let fixed_cost: f64 = core_res.fixed_cols.iter().map(|&j| m.cost(j)).sum();
+                return Ok(ScgOutcome {
+                    solution: Solution::from_cols(core_res.fixed_cols.clone()),
+                    cost: fixed_cost,
+                    lower_bound: fixed_cost,
+                    proven_optimal: true,
+                    infeasible: false,
+                    iterations: 0,
+                    subgradient_iterations: 0,
+                    restart_workers: 1,
+                    cc_time: core_res.cc_time,
+                    total_time: start.elapsed(),
+                    core_rows: 0,
+                    core_cols: 0,
+                    phase_times: phases,
+                    zdd_stats: core_res.zdd_stats,
+                    degraded: core_res.degraded,
+                    dropped_events: 0,
+                    resumed: 0,
+                });
+            }
 
-        // ---- Restarts stage on the single connected core. ----
-        // A checkpoint resumes only when the deterministic reductions
-        // reproduced the exact core it was taken on; anything else (or a
-        // multicover/partitioned checkpoint) re-runs from scratch, which
-        // is always correct — just slower.
+            // ---- Partitioning (§2): independent blocks solve independently. ----
+            if self.opts.partition {
+                probe.record(Event::PhaseBegin {
+                    phase: Phase::Partition,
+                });
+                let partition_start = Instant::now();
+                let blocks = cover::partition(&core_res.core);
+                let partition_time = partition_start.elapsed().as_secs_f64();
+                phases.add(Phase::Partition, partition_time);
+                probe.record(Event::PhaseEnd {
+                    phase: Phase::Partition,
+                    seconds: partition_time,
+                });
+                if blocks.len() > 1 {
+                    return Ok(self.solve_blocks(m, &core_res, blocks, start, &halt, phases, probe));
+                }
+            }
+            Some(core_res)
+        };
+        let core = reduced.as_ref().map_or(m, |r| &r.core);
+
+        // ---- Core stage on the single connected core. ----
+        // A checkpoint resumes only when it was taken on the same kind of
+        // solve and the deterministic reductions reproduced the exact
+        // matrix it was taken on; anything else (or a partitioned
+        // checkpoint) re-runs from scratch, which is always correct —
+        // just slower.
         let resume = resume.filter(|ck| {
-            !ck.multicover
-                && ck.matches(m, false)
-                && ck.core_rows == ae.num_rows()
-                && ck.core_cols == ae.num_cols()
-                && ck.lambda.len() == ae.num_rows()
+            ck.matches(m, multicover)
+                && ck.core_rows == core.num_rows()
+                && ck.core_cols == core.num_cols()
+                && ck.lambda.len() == core.num_rows()
                 && ck.next_run >= 1
         });
-        let ckpt_ctx = CkptCtx {
+        let ckpt = CkptCtx {
             every: self.opts.checkpoint_every,
             start,
+            multicover,
             resume,
         };
-        let co = self.solve_core(
-            ae,
-            integer_costs,
-            &halt,
-            0,
-            self.opts.workers,
-            Some(&ckpt_ctx),
-            &mut *probe,
-        );
+        let co = if multicover {
+            let mctx = MulticoverCtx::new(m, cons);
+            self.multicover_core(m, &mctx, &halt, &ckpt, &mut *probe)
+        } else {
+            self.solve_core(
+                core,
+                m.integer_costs(),
+                &halt,
+                0,
+                self.opts.workers,
+                Some(&ckpt),
+                &mut *probe,
+            )
+        };
         phases.add(Phase::Subgradient, co.sub_seconds);
         phases.add(Phase::Constructive, co.constructive_seconds);
-        let global_lb = fixed_cost + co.lb.max(0.0);
-
-        probe.record(Event::PhaseBegin {
-            phase: Phase::Postprocess,
-        });
-        let post_start = Instant::now();
-        let solution = match co.solution {
-            Some(core_sol) => core_sol.lift(&core_res.col_map, &core_res.fixed_cols),
-            None => Solution::from_cols(core_res.fixed_cols.clone()),
+        let (solution, lower_bound) = match &reduced {
+            Some(r) => {
+                let fixed_cost: f64 = r.fixed_cols.iter().map(|&j| m.cost(j)).sum();
+                let solution = match co.solution {
+                    Some(core_sol) => core_sol.lift(&r.col_map, &r.fixed_cols),
+                    None => Solution::from_cols(r.fixed_cols.clone()),
+                };
+                (Some(solution), fixed_cost + co.lb.max(0.0))
+            }
+            None => (co.solution, co.lb),
         };
-        let cost = solution.cost(m);
-        let proven_optimal = integer_costs && cost <= global_lb + 1e-9;
-        let post_time = post_start.elapsed().as_secs_f64();
-        phases.add(Phase::Postprocess, post_time);
-        probe.record(Event::PhaseEnd {
-            phase: Phase::Postprocess,
-            seconds: post_time,
-        });
-        Ok(ScgOutcome {
+        debug_assert!(solution.as_ref().is_none_or(|s| cons.is_satisfied(m, s)));
+        Ok(postprocess(
+            m,
+            reduced.as_ref(),
             solution,
-            cost,
-            lower_bound: global_lb,
-            proven_optimal,
-            infeasible: false,
-            iterations: co.iterations,
-            subgradient_iterations: co.sub_iters,
-            restart_workers: co.workers,
-            cc_time: core_res.cc_time,
-            total_time: start.elapsed(),
-            core_rows: ae.num_rows(),
-            core_cols: ae.num_cols(),
-            phase_times: phases,
-            zdd_stats: core_res.zdd_stats,
-            degraded: core_res.degraded,
-            dropped_events: 0,
-            resumed: co.resumed,
-        })
+            lower_bound,
+            co.effort,
+            start,
+            phases,
+            probe,
+        ))
     }
 
-    /// Solves a validated non-unate instance: set-multicover demand
-    /// `Ap ≥ b` and/or GUB group bounds.
+    /// The multicover core stage on the whole instance `m`, under the
+    /// constraint context `mctx` built once per solve: one generalized
+    /// two-sided ascent, then up to `NumIter − 1` ascents from jittered
+    /// multipliers sharing the incumbent — the role the randomised
+    /// constructive runs play for unate solves. It checkpoints after
+    /// every `every`-th ascent; the checkpoint restores the loop's whole
+    /// state (best bound, multipliers and cover), so a resumed solve
+    /// continues as if never interrupted.
     ///
-    /// The unate reduce stage does not apply here — essential-column,
-    /// dominance and partitioning rules (and the constructive stage's
-    /// penalty-driven fixing loop built on them) are theorems about
-    /// `b ≡ 1` covers, so this path solves the whole matrix directly:
-    /// one generalized two-sided ascent, then up to `NumIter − 1`
-    /// restarts from jittered multipliers sharing the incumbent, exactly
-    /// the role the randomised constructive runs play for unate solves.
     /// The lower bound relaxes the group bounds (valid: dropping an
     /// at-most constraint can only lower the optimum), so the integer
     /// certificate keeps its meaning and `proven_optimal` stays honest.
-    ///
-    /// When no restart finds a cover satisfying the constraints (the
+    /// When no ascent finds a cover satisfying the constraints (the
     /// greedy can paint itself into a saturated group on a feasible
     /// instance), the outcome reports `cost = +∞` with an empty solution
     /// and `infeasible: false` — unlike the unate path, "no cover found"
     /// is not a proof of infeasibility here.
-    pub(crate) fn solve_multicover_impl<P: Probe>(
+    fn multicover_core<P: Probe>(
         &self,
         m: &CoverMatrix,
-        cons: &Constraints,
-        cancel: Option<&CancelFlag>,
-        resume: Option<&crate::checkpoint::SolverCheckpoint>,
+        mctx: &MulticoverCtx,
+        halt: &Halt,
+        ckpt: &CkptCtx,
         probe: &mut P,
-    ) -> Result<ScgOutcome, SolveError> {
-        let start = Instant::now();
-        let halt = Halt {
-            deadline: self.opts.time_limit.map(|budget| start + budget),
-            cancel: cancel.cloned(),
-        };
+    ) -> CoreOutcome {
         let integer_costs = m.integer_costs();
-        let mut phases = PhaseTimes::default();
-        match halt.check() {
-            Some(HaltReason::Cancelled) => return Err(SolveError::Cancelled),
-            Some(HaltReason::Expired) => return Err(SolveError::Expired),
-            None => {}
-        }
-
-        // The multicover loop's whole state is (best_lb, best_lambda,
-        // best_cost, best_solution) — a checkpoint restores it exactly,
-        // so a resumed solve continues as if never interrupted. Restart
-        // jitter is seeded per (seed, k), independent of history.
-        let resume = resume.filter(|ck| {
-            ck.multicover
-                && ck.matches(m, true)
-                && ck.core_rows == m.num_rows()
-                && ck.core_cols == m.num_cols()
-                && ck.lambda.len() == m.num_rows()
-                && ck.next_run >= 1
-        });
-        let every = self.opts.checkpoint_every;
-        let emit_checkpoint = |next_run: usize,
-                               lb: f64,
-                               lambda: &[f64],
-                               cost: f64,
-                               solution: &Option<Solution>,
-                               probe: &mut P| {
-            probe.record(Event::Checkpoint {
-                next_run,
-                core_rows: m.num_rows(),
-                core_cols: m.num_cols(),
-                lower_bound: lb,
-                incumbent_cost: cost,
-                elapsed_seconds: start.elapsed().as_secs_f64(),
-                lambda: lambda.to_vec(),
-                incumbent: solution
-                    .as_ref()
-                    .map(|s| s.cols().iter().map(|&c| c as u32).collect()),
-                multicover: true,
-            });
-        };
-
         probe.record(Event::PhaseBegin {
             phase: Phase::Subgradient,
         });
         let sub_start = Instant::now();
-        let (mut sub_iters, mut best_lb, mut best_lambda, mut best_solution, mut best_cost);
-        let (mut iterations, first_k, resumed);
-        if let Some(ck) = resume {
+        let (mut sub_iters, mut best_lb, mut best_lambda, mut best, first_k);
+        if let Some(ck) = ckpt.resume {
             sub_iters = 0;
             best_lb = ck.lower_bound;
             best_lambda = ck.lambda.clone();
-            best_solution = ck
-                .incumbent
-                .as_ref()
-                .map(|cols| Solution::from_cols(cols.clone()));
-            best_cost = ck.incumbent_cost;
+            best = Incumbent {
+                cost: ck.incumbent_cost,
+                solution: ck
+                    .incumbent
+                    .as_ref()
+                    .map(|cols| Solution::from_cols(cols.clone())),
+            };
             first_k = ck.next_run.clamp(1, self.opts.num_iter.max(1));
-            iterations = first_k;
-            resumed = first_k;
         } else {
             // Initial ascent: occurrence heuristic on, like the unate
             // initial problem (§3.5 applies rule 4 to the initial problem
@@ -587,30 +557,24 @@ impl Scg {
                 occurrence_heuristic: true,
                 ..self.opts.subgradient
             };
-            let mut res =
-                subgradient_ascent_constrained_probed(m, &initial_opts, cons, None, None, probe);
+            let res = ascent_impl(m, &initial_opts, None, None, Some(mctx), probe);
             sub_iters = res.iterations;
             best_lb = res.lb;
-            best_lambda = std::mem::take(&mut res.lambda);
-            best_solution = res.best_solution.take();
-            best_cost = res.best_cost;
-            iterations = 1;
+            best_lambda = res.lambda;
+            best = Incumbent {
+                cost: res.best_cost,
+                solution: res.best_solution,
+            };
             first_k = 1;
-            resumed = 0;
         }
-        if every > 0 {
-            emit_checkpoint(
-                first_k,
-                best_lb,
-                &best_lambda,
-                best_cost,
-                &best_solution,
-                probe,
-            );
+        let resumed = if ckpt.resume.is_some() { first_k } else { 0 };
+        if ckpt.every > 0 {
+            ckpt.emit(m, best_lb, &best, first_k, &best_lambda, probe);
         }
 
+        let mut iterations = first_k;
         for k in first_k..self.opts.num_iter.max(1) {
-            if halt.check().is_some() || certified(integer_costs, best_lb, best_cost) {
+            if halt.check().is_some() || certified(integer_costs, best_lb, best.cost) {
                 break;
             }
             // Jitter the best multipliers by ±20% — enough to land the
@@ -622,13 +586,13 @@ impl Scg {
                 .iter()
                 .map(|&l| l * rng.random_range(0.8..1.2))
                 .collect();
-            let ub_hint = best_cost.is_finite().then_some(best_cost);
-            let r = subgradient_ascent_constrained_probed(
+            let ub_hint = best.cost.is_finite().then_some(best.cost);
+            let r = ascent_impl(
                 m,
                 &self.opts.subgradient,
-                cons,
                 Some(&lambda0),
                 ub_hint,
+                Some(mctx),
                 probe,
             );
             sub_iters += r.iterations;
@@ -637,72 +601,37 @@ impl Scg {
                 best_lb = r.lb;
                 best_lambda = r.lambda;
             }
-            if r.best_cost < best_cost {
-                best_cost = r.best_cost;
-                best_solution = r.best_solution;
-            }
-            if every > 0 && k % every == 0 {
-                emit_checkpoint(
-                    k + 1,
-                    best_lb,
-                    &best_lambda,
-                    best_cost,
-                    &best_solution,
-                    probe,
-                );
+            best.merge(Incumbent {
+                cost: r.best_cost,
+                solution: r.best_solution,
+            });
+            if ckpt.every > 0 && k % ckpt.every == 0 {
+                ckpt.emit(m, best_lb, &best, k + 1, &best_lambda, probe);
             }
         }
         let sub_seconds = sub_start.elapsed().as_secs_f64();
-        phases.add(Phase::Subgradient, sub_seconds);
         probe.record(Event::PhaseEnd {
             phase: Phase::Subgradient,
             seconds: sub_seconds,
         });
 
-        probe.record(Event::PhaseBegin {
-            phase: Phase::Postprocess,
-        });
-        let post_start = Instant::now();
-        // Same rounding as the unate core: integer costs admit ⌈LB⌉.
-        let lower_bound = if integer_costs && best_lb.is_finite() {
-            lb_ceil_of(best_lb).max(0.0)
-        } else {
-            best_lb.max(0.0)
-        };
-        let (solution, cost) = match best_solution {
-            Some(sol) => {
-                let cost = sol.cost(m);
-                debug_assert!(cons.is_satisfied(m, &sol));
-                (sol, cost)
-            }
-            None => (Solution::new(), f64::INFINITY),
-        };
-        let proven_optimal = integer_costs && cost <= lower_bound + 1e-9;
-        let post_time = post_start.elapsed().as_secs_f64();
-        phases.add(Phase::Postprocess, post_time);
-        probe.record(Event::PhaseEnd {
-            phase: Phase::Postprocess,
-            seconds: post_time,
-        });
-        Ok(ScgOutcome {
-            solution,
-            cost,
-            lower_bound,
-            proven_optimal,
-            infeasible: false,
-            iterations,
-            subgradient_iterations: sub_iters,
-            restart_workers: 1,
-            cc_time: Duration::ZERO,
-            total_time: start.elapsed(),
-            core_rows: m.num_rows(),
-            core_cols: m.num_cols(),
-            phase_times: phases,
-            zdd_stats: cover::ZddStats::default(),
-            degraded: false,
-            dropped_events: 0,
-            resumed,
-        })
+        CoreOutcome {
+            solution: best.solution,
+            // Same rounding as the unate core: integer costs admit ⌈LB⌉.
+            lb: if integer_costs && best_lb.is_finite() {
+                lb_ceil_of(best_lb).max(0.0)
+            } else {
+                best_lb.max(0.0)
+            },
+            effort: Effort {
+                iterations,
+                sub_iters,
+                workers: 1,
+                resumed,
+            },
+            sub_seconds,
+            constructive_seconds: 0.0,
+        }
     }
 
     /// Solves the disconnected blocks of an already-reduced cyclic core
@@ -719,7 +648,7 @@ impl Scg {
     fn solve_blocks<P: Probe>(
         &self,
         m: &CoverMatrix,
-        core_res: &cover::CoreResult,
+        core_res: &CoreResult,
         blocks: Vec<cover::Block>,
         start: Instant,
         halt: &Halt,
@@ -732,7 +661,7 @@ impl Scg {
         let mut iterations = 0usize;
         let mut sub_iters = 0usize;
         let mut outcomes = Vec::with_capacity(blocks.len());
-        let restart_workers = run_in_order(
+        let workers = run_in_order(
             self.opts.workers,
             CoreBudget::global(),
             0..blocks.len(),
@@ -755,8 +684,8 @@ impl Scg {
         for (block, co) in blocks.iter().zip(&outcomes) {
             phases.add(Phase::Subgradient, co.sub_seconds);
             phases.add(Phase::Constructive, co.constructive_seconds);
-            sub_iters += co.sub_iters;
-            iterations = iterations.max(co.iterations);
+            sub_iters += co.effort.sub_iters;
+            iterations = iterations.max(co.effort.iterations);
             lower_bound += co.lb.max(0.0);
             if let Some(sol) = &co.solution {
                 solution.extend(
@@ -766,38 +695,22 @@ impl Scg {
                 );
             }
         }
-
-        probe.record(Event::PhaseBegin {
-            phase: Phase::Postprocess,
-        });
-        let post_start = Instant::now();
-        let cost = solution.cost(m);
-        let proven_optimal = m.integer_costs() && cost <= lower_bound + 1e-9;
-        let post_time = post_start.elapsed().as_secs_f64();
-        phases.add(Phase::Postprocess, post_time);
-        probe.record(Event::PhaseEnd {
-            phase: Phase::Postprocess,
-            seconds: post_time,
-        });
-        ScgOutcome {
-            solution,
-            cost,
-            lower_bound,
-            proven_optimal,
-            infeasible: false,
+        let effort = Effort {
             iterations,
-            subgradient_iterations: sub_iters,
-            restart_workers,
-            cc_time: core_res.cc_time,
-            total_time: start.elapsed(),
-            core_rows: core_res.core.num_rows(),
-            core_cols: core_res.core.num_cols(),
-            phase_times: phases,
-            zdd_stats: core_res.zdd_stats,
-            degraded: core_res.degraded,
-            dropped_events: 0,
+            sub_iters,
+            workers,
             resumed: 0,
-        }
+        };
+        postprocess(
+            m,
+            Some(core_res),
+            Some(solution),
+            lower_bound,
+            effort,
+            start,
+            phases,
+            probe,
+        )
     }
 
     /// Restarts stage for one connected, fully-reduced core: the initial
@@ -824,7 +737,7 @@ impl Scg {
             phase: Phase::Subgradient,
         });
         let sub_start = Instant::now();
-        let sub0 = subgradient_ascent_probed(ae, &sub_opts, None, None, &mut *probe);
+        let sub0 = ascent_impl(ae, &sub_opts, None, None, None, &mut *probe);
         let sub_time = sub_start.elapsed().as_secs_f64();
         probe.record(Event::PhaseEnd {
             phase: Phase::Subgradient,
@@ -900,12 +813,14 @@ impl Scg {
         CoreOutcome {
             solution: best.solution,
             lb: core_lb,
-            iterations: restarts.iterations,
-            sub_iters: sub0.iterations + restarts.sub_iters,
+            effort: Effort {
+                iterations: restarts.iterations,
+                sub_iters: sub0.iterations + restarts.sub_iters,
+                workers: pool,
+                resumed,
+            },
             sub_seconds: sub_time + restarts.sub_seconds,
             constructive_seconds,
-            resumed,
-            workers: pool,
         }
     }
 
@@ -1169,8 +1084,14 @@ impl Scg {
                 phase: Phase::Subgradient,
             });
             let ascent_start = Instant::now();
-            sub =
-                subgradient_ascent_probed(&cur, &sopts, Some(&lambda), Some(local_ub), &mut *probe);
+            sub = ascent_impl(
+                &cur,
+                &sopts,
+                Some(&lambda),
+                Some(local_ub),
+                None,
+                &mut *probe,
+            );
             let ascent_seconds = ascent_start.elapsed().as_secs_f64();
             report.sub_seconds += ascent_seconds;
             probe.record(Event::PhaseEnd {
@@ -1186,6 +1107,72 @@ impl Scg {
             }
         }
         report
+    }
+}
+
+/// The solve error for a halt that fired before there was anything to
+/// return.
+fn halted(reason: HaltReason) -> SolveError {
+    match reason {
+        HaltReason::Cancelled => SolveError::Cancelled,
+        HaltReason::Expired => SolveError::Expired,
+    }
+}
+
+/// The postprocess phase and outcome shared by every solve that reached
+/// a core stage: costs `solution`, the cover in original indices
+/// (`None`: no cover found, reported as `cost = +∞` with an empty
+/// solution), and certifies it against `lower_bound` under integer
+/// costs. `reduced` is the reduce stage's result; a multicover solve
+/// skips that stage and reports the whole instance as its core.
+#[allow(clippy::too_many_arguments)]
+fn postprocess<P: Probe>(
+    m: &CoverMatrix,
+    reduced: Option<&CoreResult>,
+    solution: Option<Solution>,
+    lower_bound: f64,
+    effort: Effort,
+    start: Instant,
+    mut phases: PhaseTimes,
+    probe: &mut P,
+) -> ScgOutcome {
+    probe.record(Event::PhaseBegin {
+        phase: Phase::Postprocess,
+    });
+    let post_start = Instant::now();
+    let (solution, cost) = match solution {
+        Some(sol) => {
+            let cost = sol.cost(m);
+            (sol, cost)
+        }
+        None => (Solution::new(), f64::INFINITY),
+    };
+    let proven_optimal = m.integer_costs() && cost <= lower_bound + 1e-9;
+    let post_time = post_start.elapsed().as_secs_f64();
+    phases.add(Phase::Postprocess, post_time);
+    probe.record(Event::PhaseEnd {
+        phase: Phase::Postprocess,
+        seconds: post_time,
+    });
+    let core = reduced.map_or(m, |r| &r.core);
+    ScgOutcome {
+        solution,
+        cost,
+        lower_bound,
+        proven_optimal,
+        infeasible: false,
+        iterations: effort.iterations,
+        subgradient_iterations: effort.sub_iters,
+        restart_workers: effort.workers,
+        cc_time: reduced.map_or(Duration::ZERO, |r| r.cc_time),
+        total_time: start.elapsed(),
+        core_rows: core.num_rows(),
+        core_cols: core.num_cols(),
+        phase_times: phases,
+        zdd_stats: reduced.map_or_else(cover::ZddStats::default, |r| r.zdd_stats),
+        degraded: reduced.is_some_and(|r| r.degraded),
+        dropped_events: 0,
+        resumed: effort.resumed,
     }
 }
 
@@ -1339,7 +1326,13 @@ mod partition_tests {
             time_limit: Some(Duration::from_millis(0)),
             ..ScgOptions::default()
         })
-        .solve_impl(&m, None, None, &mut ucp_telemetry::NoopProbe);
+        .solve_impl(
+            &m,
+            &Constraints::unate(),
+            None,
+            None,
+            &mut ucp_telemetry::NoopProbe,
+        );
         assert_eq!(out.unwrap_err(), SolveError::Expired);
     }
 

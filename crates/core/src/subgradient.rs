@@ -14,11 +14,10 @@ use crate::ascent::AscentWorkspace;
 use crate::dual::dual_ascent;
 
 use crate::greedy::{
-    best_greedy_constrained_with_scratch, best_greedy_with_scratch, greedy_pass,
-    greedy_pass_constrained, GammaRule, GreedyScratch, MulticoverCtx,
+    best_greedy, greedy_pass, greedy_pass_constrained, GammaRule, GreedyScratch, MulticoverCtx,
 };
 use cover::{Constraints, CoverMatrix, Solution};
-use ucp_telemetry::{Event, NoopProbe, Probe};
+use ucp_telemetry::{Event, Probe};
 
 /// Tunables of one subgradient phase. Defaults follow the paper where it
 /// gives values and common Held–Karp practice where it does not.
@@ -134,88 +133,53 @@ pub(crate) fn certified(integer_costs: bool, lb: f64, best_cost: f64) -> bool {
     integer_costs && lb.is_finite() && best_cost <= lb_ceil_of(lb) + 1e-9
 }
 
-/// Runs subgradient ascent on `a`.
+/// Runs subgradient ascent on `a` under the constraint set `cons`.
+///
+/// Unate constraints (`cons.is_unate()`, which includes an explicit
+/// all-ones coverage) run the historical unate loop. Anything else runs
+/// the same loop generalized to set-multicover demand and GUB group
+/// bounds: the relaxation value/step arithmetic carries the per-row
+/// demand `b_i`, the primal heuristics run the constrained greedy, and
+/// `best_solution`/`best_cost` describe covers satisfying `cons` in
+/// full. That lower bound relaxes the group bounds (dropping an
+/// *at-most* constraint can only lower the optimum, so `lb` stays
+/// valid), and the optimality certificate compares it against the
+/// constrained incumbent — `proven_optimal` keeps its meaning.
 ///
 /// * `lambda0` — warm-start multipliers (e.g. from the previous, larger
 ///   matrix); when absent, dual ascent provides `λ_0` (§3.3).
 /// * `ub_hint` — an externally known upper bound on this matrix's optimum
 ///   (the incumbent minus already-fixed cost); used for step scaling and
 ///   early termination, *not* reported as a solution.
+/// * `probe` — receives one [`Event::SubgradientIter`] per iteration
+///   (current `z_λ`, monotone LB, best UB, step size `t` and the
+///   violation norm `‖s‖²`). With [`ucp_telemetry::NoopProbe`] this
+///   monomorphises to exactly the uninstrumented loop.
 ///
 /// # Panics
 ///
-/// Panics if `lambda0` has the wrong length.
+/// Panics if `lambda0` has the wrong length, or if non-unate `cons` does
+/// not validate against `a` — validate with [`Constraints::validate_for`]
+/// and surface the typed error before calling.
 ///
 /// # Example
 ///
 /// ```
-/// use cover::CoverMatrix;
+/// use cover::{Constraints, CoverMatrix};
 /// use ucp_core::{subgradient_ascent, SubgradientOptions};
+/// use ucp_telemetry::NoopProbe;
 ///
 /// let m = CoverMatrix::from_rows(
 ///     5,
 ///     vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
 /// );
-/// let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+/// let opts = SubgradientOptions::default();
+/// let r = subgradient_ascent(&m, &opts, &Constraints::unate(), None, None, &mut NoopProbe);
 /// assert!(r.lb > 2.4999); // converges to z*_P = 2.5
 /// assert_eq!(r.best_cost, 3.0);
 /// assert!(r.proven_optimal); // ⌈2.5⌉ = 3
 /// ```
-pub fn subgradient_ascent(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-) -> SubgradientResult {
-    subgradient_ascent_probed(a, opts, lambda0, ub_hint, &mut NoopProbe)
-}
-
-/// [`subgradient_ascent`] with a telemetry probe receiving one
-/// [`Event::SubgradientIter`] per iteration (current `z_λ`, monotone LB,
-/// best UB, step size `t` and the violation norm `‖s‖²`). With
-/// [`NoopProbe`] this monomorphises to exactly the uninstrumented loop.
-pub fn subgradient_ascent_probed<P: Probe>(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-    probe: &mut P,
-) -> SubgradientResult {
-    ascent_impl(a, opts, lambda0, ub_hint, None, probe)
-}
-
-/// [`subgradient_ascent`] generalized to set-multicover demand and GUB
-/// group bounds (`cons`): the relaxation value/step arithmetic carries
-/// the per-row demand `b_i`, the primal heuristics run the constrained
-/// greedy, and `best_solution`/`best_cost` describe covers satisfying
-/// `cons` in full. The lower bound relaxes the group bounds (dropping an
-/// *at-most* constraint can only lower the optimum, so `lb` stays
-/// valid), and the optimality certificate compares that bound against
-/// the constrained incumbent — `proven_optimal` keeps its meaning.
-///
-/// Unate constraints (`cons.is_unate()`) run the generalized loop with
-/// an all-ones demand, which is bit-identical to [`subgradient_ascent`]
-/// (`λ_i · 1.0 == λ_i` everywhere the demand enters; the equivalence
-/// suite checks this).
-///
-/// # Panics
-///
-/// Panics if `cons` does not validate against `a` — validate with
-/// [`Constraints::validate_for`] and surface the typed error before
-/// calling.
-pub fn subgradient_ascent_constrained(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    cons: &Constraints,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-) -> SubgradientResult {
-    subgradient_ascent_constrained_probed(a, opts, cons, lambda0, ub_hint, &mut NoopProbe)
-}
-
-/// [`subgradient_ascent_constrained`] with a telemetry probe (see
-/// [`subgradient_ascent_probed`]).
-pub fn subgradient_ascent_constrained_probed<P: Probe>(
+pub fn subgradient_ascent<P: Probe>(
     a: &CoverMatrix,
     opts: &SubgradientOptions,
     cons: &Constraints,
@@ -223,16 +187,16 @@ pub fn subgradient_ascent_constrained_probed<P: Probe>(
     ub_hint: Option<f64>,
     probe: &mut P,
 ) -> SubgradientResult {
-    cons.validate_for(a).expect("constraints fit the instance");
-    let ctx = MulticoverCtx::new(a, cons);
-    ascent_impl(a, opts, lambda0, ub_hint, Some(&ctx), probe)
+    let mctx = MulticoverCtx::checked(a, cons);
+    ascent_impl(a, opts, lambda0, ub_hint, mctx.as_ref(), probe)
 }
 
-/// The shared two-sided loop. `mctx = None` is the historical unate
-/// ascent, byte-for-byte; `Some` switches the demand arithmetic and the
-/// greedy passes to their constrained forms at the three call sites that
-/// differ.
-fn ascent_impl<P: Probe>(
+/// The shared two-sided loop behind [`subgradient_ascent`], which the
+/// solver calls directly with the context it built once per solve.
+/// `mctx = None` is the historical unate ascent, byte-for-byte; `Some`
+/// switches the demand arithmetic and the greedy passes to their
+/// constrained forms at the three call sites that differ.
+pub(crate) fn ascent_impl<P: Probe>(
     a: &CoverMatrix,
     opts: &SubgradientOptions,
     lambda0: Option<&[f64]>,
@@ -267,13 +231,7 @@ fn ascent_impl<P: Probe>(
     } else {
         &GammaRule::FAST
     };
-    let initial = match mctx {
-        None => best_greedy_with_scratch(a, view, a.costs(), rules, &mut scratch),
-        Some(ctx) => {
-            best_greedy_constrained_with_scratch(a, view, a.costs(), rules, ctx, &mut scratch)
-        }
-    };
-    if let Some((sol, cost)) = initial {
+    if let Some((sol, cost)) = best_greedy(a, view, a.costs(), rules, mctx, &mut scratch) {
         best_cost = cost;
         best_solution = Some(sol);
     }
@@ -401,10 +359,29 @@ fn ascent_impl<P: Probe>(
     }
 }
 
+/// Test shorthand: the unate ascent through the public entry, unprobed.
+#[cfg(test)]
+fn unate(
+    m: &CoverMatrix,
+    opts: &SubgradientOptions,
+    lambda0: Option<&[f64]>,
+    ub_hint: Option<f64>,
+) -> SubgradientResult {
+    subgradient_ascent(
+        m,
+        opts,
+        &Constraints::unate(),
+        lambda0,
+        ub_hint,
+        &mut ucp_telemetry::NoopProbe,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cover::GubGroup;
+    use ucp_telemetry::NoopProbe;
 
     fn cycle(n: usize) -> CoverMatrix {
         CoverMatrix::from_rows(n, (0..n).map(|i| vec![i, (i + 1) % n]).collect())
@@ -413,7 +390,7 @@ mod tests {
     #[test]
     fn five_cycle_converges_and_certifies() {
         let m = cycle(5);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         assert!(r.lb > 2.4, "LB too weak: {}", r.lb);
         assert!(r.lb <= 3.0 + 1e-9);
         assert_eq!(r.best_cost, 3.0);
@@ -424,7 +401,7 @@ mod tests {
     #[test]
     fn seven_cycle() {
         let m = cycle(7);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         // z*_P = 3.5, optimum 4.
         assert!(r.lb > 3.4, "LB {}", r.lb);
         assert_eq!(r.best_cost, 4.0);
@@ -434,7 +411,7 @@ mod tests {
     #[test]
     fn lb_below_ub_always() {
         let m = cycle(9);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         assert!(r.lb <= r.best_cost + 1e-9);
         assert!(r.lb <= r.ub_ld + 1e-6, "lb {} vs ub_ld {}", r.lb, r.ub_ld);
     }
@@ -442,7 +419,7 @@ mod tests {
     #[test]
     fn warm_start_with_good_lambda_converges_fast() {
         let m = cycle(5);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), Some(&[0.5; 5]), None);
+        let r = unate(&m, &SubgradientOptions::default(), Some(&[0.5; 5]), None);
         assert!((r.lb - 2.5).abs() < 1e-9);
         assert!(r.iterations <= 5, "took {} iterations", r.iterations);
     }
@@ -454,7 +431,7 @@ mod tests {
             max_iters: 3,
             ..SubgradientOptions::default()
         };
-        let r = subgradient_ascent(&m, &opts, None, None);
+        let r = unate(&m, &opts, None, None);
         assert!(r.iterations <= 3);
         assert!(r.best_solution.is_some());
     }
@@ -463,7 +440,7 @@ mod tests {
     fn non_uniform_costs() {
         // Two rows, the shared column cheap: optimum = 1 column of cost 2.
         let m = CoverMatrix::with_costs(3, vec![vec![0, 2], vec![1, 2]], vec![2.0, 2.0, 2.0]);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         assert_eq!(r.best_cost, 2.0);
         assert!(r.proven_optimal);
     }
@@ -471,7 +448,7 @@ mod tests {
     #[test]
     fn mu_stays_in_unit_box() {
         let m = cycle(7);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         assert!(r.mu.iter().all(|&u| (-1e-12..=1.0 + 1e-12).contains(&u)));
     }
 
@@ -486,7 +463,7 @@ mod tests {
             heuristic_period: 0,
             ..SubgradientOptions::default()
         };
-        let r = subgradient_ascent(&m, &opts, None, None);
+        let r = unate(&m, &opts, None, None);
         assert!(r.lb > 3.4, "LB {}", r.lb);
         let sol = r.best_solution.expect("initial greedy still seeds");
         assert!(sol.is_feasible(&m));
@@ -495,13 +472,15 @@ mod tests {
 
     #[test]
     fn constrained_unate_is_bit_identical() {
-        // All-ones coverage through the constrained entry must reproduce
-        // the unate ascent exactly: bounds, iterations, multipliers.
+        // All-ones coverage through the constrained loop must reproduce
+        // the unate loop exactly: bounds, iterations, multipliers. The
+        // public entry routes all-ones coverage to the unate loop, so
+        // this drives the loop with an explicit unit-demand context.
         let m = cycle(9);
-        let unate = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
-        let cons = Constraints::new().coverage(vec![1; 9]);
-        let multi =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let opts = SubgradientOptions::default();
+        let unate = ascent_impl(&m, &opts, None, None, None, &mut NoopProbe);
+        let ctx = MulticoverCtx::new(&m, &Constraints::new().coverage(vec![1; 9]));
+        let multi = ascent_impl(&m, &opts, None, None, Some(&ctx), &mut NoopProbe);
         assert_eq!(unate.lb.to_bits(), multi.lb.to_bits());
         assert_eq!(unate.ub_ld.to_bits(), multi.ub_ld.to_bits());
         assert_eq!(unate.best_cost.to_bits(), multi.best_cost.to_bits());
@@ -519,8 +498,14 @@ mod tests {
         // 5-cycle: each covers 2 rows, 5 rows × demand 2 = 10 = 5 × 2).
         let m = cycle(5);
         let cons = Constraints::new().coverage(vec![2; 5]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent(
+            &m,
+            &SubgradientOptions::default(),
+            &cons,
+            None,
+            None,
+            &mut NoopProbe,
+        );
         let sol = r.best_solution.expect("feasible multicover exists");
         assert!(cons.is_satisfied(&m, &sol));
         assert_eq!(r.best_cost, 5.0);
@@ -543,8 +528,14 @@ mod tests {
         let m =
             CoverMatrix::with_costs(4, vec![vec![0, 2], vec![1, 3]], vec![1.0, 1.0, 10.0, 10.0]);
         let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1], 1)]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent(
+            &m,
+            &SubgradientOptions::default(),
+            &cons,
+            None,
+            None,
+            &mut NoopProbe,
+        );
         let sol = r.best_solution.expect("feasible under the bound");
         assert!(cons.is_satisfied(&m, &sol));
         assert_eq!(r.best_cost, 11.0);
@@ -573,7 +564,7 @@ mod tests {
         // always equal what the result's own fields imply.
         let m = cycle(5);
         let opts = SubgradientOptions::default();
-        let r = subgradient_ascent(&m, &opts, None, None);
+        let r = unate(&m, &opts, None, None);
         assert!(r.iterations < opts.max_iters, "should certify mid-loop");
         assert!(r.proven_optimal);
         assert!(r.best_cost <= r.lb_ceil() + 1e-9);
@@ -583,7 +574,7 @@ mod tests {
             max_iters: 2,
             ..SubgradientOptions::default()
         };
-        let r2 = subgradient_ascent(&cycle(9), &capped, None, None);
+        let r2 = unate(&cycle(9), &capped, None, None);
         assert_eq!(
             r2.proven_optimal,
             r2.lb.is_finite() && r2.best_cost <= r2.lb_ceil() + 1e-9
@@ -615,8 +606,14 @@ mod sampling_tests {
     fn default_stride_emits_every_iteration() {
         let m = cycle(9);
         let mut probe = RecordingProbe::new();
-        let r =
-            subgradient_ascent_probed(&m, &SubgradientOptions::default(), None, None, &mut probe);
+        let r = subgradient_ascent(
+            &m,
+            &SubgradientOptions::default(),
+            &Constraints::unate(),
+            None,
+            None,
+            &mut probe,
+        );
         let iters = iter_events(&probe);
         assert_eq!(iters.len(), r.iterations);
         assert!(iters.iter().enumerate().all(|(i, &(k, _))| i == k));
@@ -626,14 +623,20 @@ mod sampling_tests {
     fn sampling_thins_the_trace_but_keeps_the_envelope() {
         let m = cycle(9);
         let mut dense = RecordingProbe::new();
-        let r_dense =
-            subgradient_ascent_probed(&m, &SubgradientOptions::default(), None, None, &mut dense);
+        let r_dense = subgradient_ascent(
+            &m,
+            &SubgradientOptions::default(),
+            &Constraints::unate(),
+            None,
+            None,
+            &mut dense,
+        );
         let opts = SubgradientOptions {
             trace_every: 25,
             ..SubgradientOptions::default()
         };
         let mut sampled = RecordingProbe::new();
-        let r = subgradient_ascent_probed(&m, &opts, None, None, &mut sampled);
+        let r = subgradient_ascent(&m, &opts, &Constraints::unate(), None, None, &mut sampled);
 
         // Sampling must not change the solve itself.
         assert_eq!(r.iterations, r_dense.iterations);
@@ -672,7 +675,7 @@ mod sampling_tests {
             ..SubgradientOptions::default()
         };
         let mut probe = RecordingProbe::new();
-        let r = subgradient_ascent_probed(&m, &opts, None, None, &mut probe);
+        let r = subgradient_ascent(&m, &opts, &Constraints::unate(), None, None, &mut probe);
         assert_eq!(iter_events(&probe).len(), r.iterations);
     }
 }
@@ -689,7 +692,7 @@ mod history_tests {
             max_iters: 60,
             ..SubgradientOptions::default()
         };
-        let r = subgradient_ascent(&m, &opts, None, None);
+        let r = unate(&m, &opts, None, None);
         assert!(!r.history.is_empty());
         // LB is monotone non-decreasing and UB_LD monotone non-increasing.
         for w in r.history.windows(2) {
@@ -704,7 +707,132 @@ mod history_tests {
     #[test]
     fn history_empty_by_default() {
         let m = CoverMatrix::from_rows(5, (0..5).map(|i| vec![i, (i + 1) % 5]).collect());
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = unate(&m, &SubgradientOptions::default(), None, None);
         assert!(r.history.is_empty());
+    }
+}
+
+/// The `b ≡ 1` constrained-loop proof: the generalized loop driven with
+/// an explicit unit-demand [`MulticoverCtx`] reproduces the unate loop
+/// bit for bit. [`subgradient_ascent`] routes all-ones coverage to the
+/// unate loop, so only the internal loop can witness this.
+#[cfg(test)]
+mod unit_demand_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use ucp_telemetry::NoopProbe;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the unate loop and the constrained loop with unit demand and
+    /// asserts bit-identity of every field.
+    fn assert_unit_demand_matches_unate(
+        name: &str,
+        m: &CoverMatrix,
+        opts: &SubgradientOptions,
+        lambda0: Option<&[f64]>,
+        ub_hint: Option<f64>,
+    ) {
+        let unate = ascent_impl(m, opts, lambda0, ub_hint, None, &mut NoopProbe);
+        let ctx = MulticoverCtx::new(m, &Constraints::new().coverage(vec![1; m.num_rows()]));
+        let multi = ascent_impl(m, opts, lambda0, ub_hint, Some(&ctx), &mut NoopProbe);
+        assert_eq!(multi.iterations, unate.iterations, "{name}: iterations");
+        assert_eq!(multi.lb.to_bits(), unate.lb.to_bits(), "{name}: lb");
+        assert_eq!(
+            multi.ub_ld.to_bits(),
+            unate.ub_ld.to_bits(),
+            "{name}: ub_ld"
+        );
+        assert_eq!(
+            multi.best_cost.to_bits(),
+            unate.best_cost.to_bits(),
+            "{name}: best_cost"
+        );
+        assert_eq!(multi.proven_optimal, unate.proven_optimal, "{name}: flag");
+        assert_eq!(bits(&multi.lambda), bits(&unate.lambda), "{name}: lambda");
+        assert_eq!(bits(&multi.mu), bits(&unate.mu), "{name}: mu");
+        assert_eq!(
+            bits(&multi.c_tilde),
+            bits(&unate.c_tilde),
+            "{name}: c_tilde"
+        );
+        assert_eq!(multi.best_solution, unate.best_solution, "{name}: cover");
+        assert_eq!(multi.history, unate.history, "{name}: history");
+    }
+
+    /// The circulant `C(n, k)`: row `i` is covered by columns
+    /// `i, …, i + k − 1 (mod n)`.
+    fn circulant(n: usize, k: usize) -> CoverMatrix {
+        CoverMatrix::from_rows(
+            n,
+            (0..n)
+                .map(|i| (0..k).map(|d| (i + d) % n).collect())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn unit_demand_constrained_loop_matches_unate_bit_for_bit() {
+        let opts = SubgradientOptions {
+            record_history: true,
+            ..SubgradientOptions::default()
+        };
+        for n in [5usize, 7, 9, 11, 15] {
+            assert_unit_demand_matches_unate(&format!("C{n}"), &circulant(n, 2), &opts, None, None);
+        }
+        let lambda0: Vec<f64> = (0..11).map(|i| 0.25 + 0.1 * (i % 3) as f64).collect();
+        assert_unit_demand_matches_unate(
+            "warm",
+            &circulant(11, 2),
+            &opts,
+            Some(&lambda0),
+            Some(6.0),
+        );
+        // The first 20 instances of the easy cyclic suite: the odd
+        // circulants C(9..=37, 2), then the first five wider ones.
+        let wide = [12usize, 16, 20, 24, 28].map(|n| (n, if n % 3 == 0 { 3 } else { 4 }));
+        for (n, k) in (0..15).map(|i| (9 + 2 * i, 2)).chain(wide) {
+            assert_unit_demand_matches_unate(
+                &format!("C({n},{k})"),
+                &circulant(n, k),
+                &SubgradientOptions::default(),
+                None,
+                None,
+            );
+        }
+    }
+
+    /// Random instances with empty rows (uncoverable), empty columns,
+    /// single-column rows and non-uniform costs. The loop takes the
+    /// context unvalidated, so uncoverable rows are in scope here too.
+    fn instance_strategy() -> impl Strategy<Value = CoverMatrix> {
+        (3usize..=9).prop_flat_map(move |cols| {
+            let row = prop::collection::btree_set(0..cols, 0..=cols.min(4));
+            let rows = prop::collection::vec(row, 1..=10);
+            let costs = prop::collection::vec(1u8..=5, cols);
+            (rows, costs).prop_map(move |(rows, costs)| {
+                CoverMatrix::with_costs(
+                    cols,
+                    rows.into_iter().map(|r| r.into_iter().collect()).collect(),
+                    costs.into_iter().map(f64::from).collect(),
+                )
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_unit_demand_constrained_loop_matches_unate(m in instance_strategy()) {
+            let opts = SubgradientOptions {
+                max_iters: 60,
+                record_history: true,
+                ..SubgradientOptions::default()
+            };
+            assert_unit_demand_matches_unate("random-unit-demand", &m, &opts, None, None);
+        }
     }
 }

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use ucp_core::dual::{dual_ascent, is_dual_feasible};
 use ucp_core::penalty::{dual_penalties, lagrangian_penalties};
 use ucp_core::relax::eval_primal;
-use ucp_core::{subgradient_ascent, SubgradientOptions};
+use ucp_core::{subgradient_ascent, Constraints, SubgradientOptions};
+use ucp_telemetry::NoopProbe;
 
 fn brute(m: &CoverMatrix) -> f64 {
     let n = m.num_cols();
@@ -76,7 +77,7 @@ proptest! {
 
     #[test]
     fn lagrangian_bound_below_lp_optimum(m in instance_strategy()) {
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = subgradient_ascent(&m, &SubgradientOptions::default(), &Constraints::unate(), None, None, &mut NoopProbe);
         let lp = DenseLp::covering(m.num_cols(), m.rows(), m.costs())
             .solve()
             .expect("coverable");
@@ -115,7 +116,7 @@ proptest! {
         // optimum itself must survive; with ub = opt only ties may be lost,
         // so the restricted optimum can only grow.
         let opt = brute(&m);
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
+        let r = subgradient_ascent(&m, &SubgradientOptions::default(), &Constraints::unate(), None, None, &mut NoopProbe);
         let pen = lagrangian_penalties(&r.c_tilde, r.lb, opt + 1.0);
         let restricted = brute_restricted(&m, &pen.fix_in, &pen.fix_out);
         prop_assert_eq!(restricted, opt,
@@ -148,7 +149,7 @@ proptest! {
     fn warm_start_never_invalidates_bound(m in instance_strategy()) {
         // A warm start from garbage multipliers must still give a valid LB.
         let garbage: Vec<f64> = (0..m.num_rows()).map(|i| (i % 7) as f64).collect();
-        let r = subgradient_ascent(&m, &SubgradientOptions::default(), Some(&garbage), None);
+        let r = subgradient_ascent(&m, &SubgradientOptions::default(), &Constraints::unate(), Some(&garbage), None, &mut NoopProbe);
         let opt = brute(&m);
         prop_assert!(r.lb <= opt + 1e-9);
         if let Some(sol) = &r.best_solution {

@@ -266,17 +266,6 @@ impl ImplicitMatrix {
         Ok(progressed)
     }
 
-    /// Tests whether column `j` dominates column `k`: every (implicit) row
-    /// containing `k` also contains `j`. Entirely on the ZDD:
-    /// `subset0(subset1(R, k), j) = ∅`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
-    pub fn col_dominates(&mut self, j: usize, k: usize) -> bool {
-        self.col_dominates_f(j, k).unwrap_or_else(overflow_panic)
-    }
-
     fn col_dominates_f(&mut self, j: usize, k: usize) -> Result<bool, ZddOverflow> {
         if j == k {
             return Ok(true);

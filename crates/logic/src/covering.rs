@@ -323,12 +323,6 @@ fn output_set(mgr: &Bdd, uppers: &[BddId], cube: &Cube) -> u64 {
     mask
 }
 
-/// Convenience: is this PLA's covering formulation single-output? That is
-/// exactly `num_outputs() == 1`; the PLA type plays no part.
-pub fn is_single_output(pla: &Pla) -> bool {
-    pla.num_outputs() == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -151,26 +151,6 @@ impl Pla {
         self.output_labels.as_deref()
     }
 
-    /// Declares input labels (one per input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label count disagrees with `num_inputs`.
-    pub fn set_input_labels(&mut self, labels: Vec<String>) {
-        assert_eq!(labels.len(), self.num_inputs, "one label per input");
-        self.input_labels = Some(labels);
-    }
-
-    /// Declares output labels (one per output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label count disagrees with `num_outputs`.
-    pub fn set_output_labels(&mut self, labels: Vec<String>) {
-        assert_eq!(labels.len(), self.num_outputs, "one label per output");
-        self.output_labels = Some(labels);
-    }
-
     /// Serialises back to `.pla` text.
     pub fn to_pla_string(&self) -> String {
         let mut out = String::new();

@@ -487,121 +487,3 @@ mod lpr_tests {
         assert_eq!(capped.cost, mis.cost);
     }
 }
-
-/// Enumerates **all** minimum-cost covers of `m` (up to `cap` of them), by
-/// exhaustive search pruned at the optimal cost. Intended for small
-/// instances (tests, counting arguments); cost grows with the number of
-/// optima.
-///
-/// Returns `(optimal_cost, covers)`; the covers are irredundant and sorted.
-///
-/// # Example
-///
-/// ```
-/// use cover::CoverMatrix;
-/// use solvers::all_optima;
-///
-/// // C5 has exactly 5 minimum covers (complements of the 5 independent
-/// // vertex pairs).
-/// let m = CoverMatrix::from_rows(
-///     5,
-///     vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-/// );
-/// let (cost, covers) = all_optima(&m, 100);
-/// assert_eq!(cost, 3.0);
-/// assert_eq!(covers.len(), 5);
-/// ```
-pub fn all_optima(m: &CoverMatrix, cap: usize) -> (f64, Vec<Solution>) {
-    let first = branch_and_bound(m, &BnbOptions::default());
-    let opt = first.cost;
-    if !opt.is_finite() {
-        return (opt, Vec::new());
-    }
-    let mut found: Vec<Solution> = Vec::new();
-    // DFS over include/exclude decisions in column order.
-    fn rec(
-        m: &CoverMatrix,
-        j: usize,
-        chosen: &mut Vec<usize>,
-        cost: f64,
-        opt: f64,
-        cap: usize,
-        found: &mut Vec<Solution>,
-    ) {
-        if found.len() >= cap || cost > opt + 1e-9 {
-            return;
-        }
-        // Feasible already?
-        let sol = Solution::from_cols(chosen.clone());
-        if sol.is_feasible(m) {
-            if (cost - opt).abs() < 1e-9 {
-                let mut irr = sol;
-                irr.make_irredundant(m);
-                if (irr.cost(m) - opt).abs() < 1e-9 && !found.contains(&irr) {
-                    found.push(irr);
-                }
-            }
-            return;
-        }
-        if j == m.num_cols() {
-            return;
-        }
-        // Lower bound: the cheapest way to finish is free only if feasible.
-        chosen.push(j);
-        rec(m, j + 1, chosen, cost + m.cost(j), opt, cap, found);
-        chosen.pop();
-        rec(m, j + 1, chosen, cost, opt, cap, found);
-    }
-    let mut chosen = Vec::new();
-    rec(m, 0, &mut chosen, 0.0, opt, cap, &mut found);
-    found.sort_by(|a, b| a.cols().cmp(b.cols()));
-    (opt, found)
-}
-
-#[cfg(test)]
-mod enumeration_tests {
-    use super::*;
-
-    #[test]
-    fn all_optima_of_c5() {
-        let m = CoverMatrix::from_rows(
-            5,
-            vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-        );
-        let (cost, covers) = all_optima(&m, 100);
-        assert_eq!(cost, 3.0);
-        assert_eq!(covers.len(), 5);
-        for c in &covers {
-            assert!(c.is_feasible(&m));
-            assert_eq!(c.cost(&m), 3.0);
-        }
-    }
-
-    #[test]
-    fn unique_optimum_detected() {
-        // One column covers everything at cost 1: the unique optimum.
-        let m = CoverMatrix::with_costs(3, vec![vec![0, 2], vec![1, 2]], vec![1.0, 1.0, 1.0]);
-        let (cost, covers) = all_optima(&m, 10);
-        assert_eq!(cost, 1.0);
-        assert_eq!(covers.len(), 1);
-        assert_eq!(covers[0].cols(), &[2]);
-    }
-
-    #[test]
-    fn cap_limits_enumeration() {
-        let m = CoverMatrix::from_rows(
-            5,
-            vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-        );
-        let (_, covers) = all_optima(&m, 2);
-        assert_eq!(covers.len(), 2);
-    }
-
-    #[test]
-    fn infeasible_yields_empty() {
-        let m = CoverMatrix::from_rows(1, vec![vec![]]);
-        let (cost, covers) = all_optima(&m, 10);
-        assert!(cost.is_infinite());
-        assert!(covers.is_empty());
-    }
-}

@@ -34,7 +34,7 @@ mod chvatal;
 mod espresso_like;
 mod incremental;
 
-pub use bnb::{all_optima, branch_and_bound, BnbOptions, BnbResult, BoundKind};
+pub use bnb::{branch_and_bound, BnbOptions, BnbResult, BoundKind};
 pub use chvatal::{chvatal_greedy, mis_lower_bound};
 pub use espresso_like::{espresso_like, EspressoMode};
 pub use incremental::{incremental_mis_bound, IncrementalOptions};

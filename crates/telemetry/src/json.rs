@@ -84,12 +84,6 @@ impl JsonObj {
         self
     }
 
-    pub fn field_i64(&mut self, k: &str, v: i64) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(&format!("{v}"));
-        self
-    }
-
     pub fn field_bool(&mut self, k: &str, v: bool) -> &mut Self {
         self.key(k);
         self.buf.push_str(if v { "true" } else { "false" });

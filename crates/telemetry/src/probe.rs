@@ -122,11 +122,6 @@ impl RecordingProbe {
         &self.events
     }
 
-    /// Consumes the probe, returning the buffered events.
-    pub fn into_events(self) -> Vec<TimedEvent> {
-        self.events
-    }
-
     /// The lower-bound sequence carried by `SubgradientIter` events.
     pub fn lb_history(&self) -> Vec<f64> {
         self.events

@@ -501,14 +501,6 @@ impl Zdd {
         self.nodes.len() == 2
     }
 
-    /// Drops the operation cache (node storage is retained).
-    ///
-    /// Useful to bound memory between phases of a long-running computation.
-    /// With the generational cache this is O(1).
-    pub fn clear_cache(&mut self) {
-        self.cache.invalidate_all();
-    }
-
     /// Registers `id` as a GC root and returns its slot handle.
     ///
     /// Registered roots are kept alive — and remapped in place — by every

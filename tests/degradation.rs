@@ -3,7 +3,7 @@
 //! the fallback exactly once through telemetry, and lands on the same
 //! cover cost as the unbudgeted route.
 
-use ucp::ucp_core::{Preset, Scg, ScgOptions, SolveRequest};
+use ucp::ucp_core::{Preset, Scg, SolveRequest};
 use ucp::ucp_telemetry::{Event, RecordingProbe};
 use ucp::workloads::suite;
 
@@ -12,7 +12,7 @@ fn starved_budget_degrades_without_changing_the_cost() {
     let instances = suite::difficult_cyclic();
     assert!(instances.len() >= 3, "suite shrank under the test's feet");
     for inst in instances.iter().take(3) {
-        let base = ScgOptions::preset(Preset::Fast);
+        let base = Preset::Fast.options();
         let unbudgeted =
             Scg::run(SolveRequest::for_matrix(&inst.matrix).options(base)).expect("no cancel flag");
 
@@ -63,9 +63,8 @@ fn starved_budget_degrades_without_changing_the_cost() {
 #[test]
 fn unbudgeted_solves_never_degrade() {
     let inst = &suite::difficult_cyclic()[0];
-    let out =
-        Scg::run(SolveRequest::for_matrix(&inst.matrix).options(ScgOptions::preset(Preset::Fast)))
-            .expect("no cancel flag");
+    let out = Scg::run(SolveRequest::for_matrix(&inst.matrix).options(Preset::Fast.options()))
+        .expect("no cancel flag");
     assert!(!out.degraded);
     assert_eq!(out.dropped_events, 0);
 }

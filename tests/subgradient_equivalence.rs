@@ -5,11 +5,11 @@
 //! equal down to its representation, every cover identical, every
 //! iteration count the same.
 //!
-//! The constraint-kind-parameterised rework extends the contract: the
-//! constrained entry point (`subgradient_ascent_constrained`) with the
-//! trivial constraint set (`b_i ≡ 1`, no GUB groups) must be
-//! bit-identical to the unate path too — the generalisation may not
-//! perturb a single float of the historical behaviour.
+//! The `b_i ≡ 1` proof for the constrained loop lives in ucp-core's own
+//! tests (`subgradient::unit_demand_tests`): the public entry point sends
+//! all-ones coverage to the unate loop, so only the internal loop can
+//! witness it. Here the constrained ascent is checked for a valid bound
+//! under real multicover demand.
 
 use proptest::prelude::*;
 use ucp::cover::CoverMatrix;
@@ -17,8 +17,9 @@ use ucp::ucp_core::reference::{
     eval_dual_lagrangian_dense, eval_primal_dense, subgradient_ascent_dense,
 };
 use ucp::ucp_core::relax::eval_primal;
-use ucp::ucp_core::{subgradient_ascent, subgradient_ascent_constrained, SubgradientOptions};
+use ucp::ucp_core::{subgradient_ascent, SubgradientOptions};
 use ucp::ucp_core::{Constraints, GubGroup};
+use ucp::ucp_telemetry::NoopProbe;
 use ucp::workloads::suite;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -33,7 +34,14 @@ fn assert_equiv(
     lambda0: Option<&[f64]>,
     ub_hint: Option<f64>,
 ) {
-    let live = subgradient_ascent(m, opts, lambda0, ub_hint);
+    let live = subgradient_ascent(
+        m,
+        opts,
+        &Constraints::unate(),
+        lambda0,
+        ub_hint,
+        &mut NoopProbe,
+    );
     let dense = subgradient_ascent_dense(m, opts, lambda0, ub_hint);
     assert_eq!(live.iterations, dense.iterations, "{name}: iterations");
     assert_eq!(live.lb.to_bits(), dense.lb.to_bits(), "{name}: lb");
@@ -53,46 +61,6 @@ fn assert_equiv(
         "{name}: cover"
     );
     assert_eq!(live.history, dense.history, "{name}: history");
-}
-
-/// Runs the unate path and the constrained path with unit demand (the
-/// `b_i ≡ 1`, no-groups specialization) and asserts bit-identity.
-fn assert_unate_specialization(
-    name: &str,
-    m: &CoverMatrix,
-    opts: &SubgradientOptions,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-) {
-    let unate = subgradient_ascent(m, opts, lambda0, ub_hint);
-    let cons = Constraints::new().coverage(vec![1; m.num_rows()]);
-    let multi = subgradient_ascent_constrained(m, opts, &cons, lambda0, ub_hint);
-    assert_eq!(multi.iterations, unate.iterations, "{name}: iterations");
-    assert_eq!(multi.lb.to_bits(), unate.lb.to_bits(), "{name}: lb");
-    assert_eq!(
-        multi.ub_ld.to_bits(),
-        unate.ub_ld.to_bits(),
-        "{name}: ub_ld"
-    );
-    assert_eq!(
-        multi.best_cost.to_bits(),
-        unate.best_cost.to_bits(),
-        "{name}: best_cost"
-    );
-    assert_eq!(multi.proven_optimal, unate.proven_optimal, "{name}: flag");
-    assert_eq!(bits(&multi.lambda), bits(&unate.lambda), "{name}: lambda");
-    assert_eq!(bits(&multi.mu), bits(&unate.mu), "{name}: mu");
-    assert_eq!(
-        bits(&multi.c_tilde),
-        bits(&unate.c_tilde),
-        "{name}: c_tilde"
-    );
-    assert_eq!(
-        multi.best_solution.as_ref().map(|s| s.cols().to_vec()),
-        unate.best_solution.as_ref().map(|s| s.cols().to_vec()),
-        "{name}: cover"
-    );
-    assert_eq!(multi.history, unate.history, "{name}: history");
 }
 
 fn cycle(n: usize) -> CoverMatrix {
@@ -208,28 +176,6 @@ fn one_shot_evaluations_match_dense() {
 }
 
 #[test]
-fn unit_demand_constrained_path_matches_unate_bit_for_bit() {
-    let opts = SubgradientOptions {
-        record_history: true,
-        ..SubgradientOptions::default()
-    };
-    for n in [5usize, 7, 9, 11, 15] {
-        assert_unate_specialization(&format!("C{n}"), &cycle(n), &opts, None, None);
-    }
-    let lambda0: Vec<f64> = (0..11).map(|i| 0.25 + 0.1 * (i % 3) as f64).collect();
-    assert_unate_specialization("warm", &cycle(11), &opts, Some(&lambda0), Some(6.0));
-    for inst in suite::easy_cyclic().into_iter().take(20) {
-        assert_unate_specialization(
-            &inst.name,
-            &inst.matrix,
-            &SubgradientOptions::default(),
-            None,
-            None,
-        );
-    }
-}
-
-#[test]
 fn multicover_relaxation_stays_a_valid_bound() {
     // With real multicover demands the constrained ascent is a different
     // problem; its LB must still never exceed the optimum. On C(n,2)
@@ -237,8 +183,14 @@ fn multicover_relaxation_stays_a_valid_bound() {
     for n in [5usize, 9, 13] {
         let m = cycle(n);
         let cons = Constraints::new().coverage(vec![2; n]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent(
+            &m,
+            &SubgradientOptions::default(),
+            &cons,
+            None,
+            None,
+            &mut NoopProbe,
+        );
         assert!(
             r.lb <= n as f64 + 1e-9,
             "C{n}: LB {} above optimum {n}",
@@ -255,7 +207,14 @@ fn multicover_relaxation_stays_a_valid_bound() {
     // greedy: the returned cover must honour them.
     let m = cycle(9);
     let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1, 2], 1)]);
-    let r = subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+    let r = subgradient_ascent(
+        &m,
+        &SubgradientOptions::default(),
+        &cons,
+        None,
+        None,
+        &mut NoopProbe,
+    );
     if let Some(sol) = &r.best_solution {
         assert!(cons.is_satisfied(&m, sol), "cover violates the GUB bound");
     }
@@ -306,18 +265,4 @@ proptest! {
         assert_equiv("random-warm", &m, &opts, Some(&lambda0), None);
     }
 
-    #[test]
-    fn random_unit_demand_constrained_matches_unate(m in instance_strategy()) {
-        // The constrained entry refuses structurally infeasible demand
-        // (an empty row cannot supply b_i = 1), so restrict to coverable
-        // instances; the unate-side handling of uncoverable rows is
-        // already pinned by the dense-equivalence cases above.
-        prop_assume!((0..m.num_rows()).all(|i| !m.row(i).is_empty()));
-        let opts = SubgradientOptions {
-            max_iters: 60,
-            record_history: true,
-            ..SubgradientOptions::default()
-        };
-        assert_unate_specialization("random-unit-demand", &m, &opts, None, None);
-    }
 }
