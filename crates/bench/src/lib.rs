@@ -1,31 +1,35 @@
-//! Shared harness utilities for regenerating the paper's tables and
-//! figures.
+//! Shared harness for the `paper` binary, which regenerates the paper's
+//! tables and figures and records their answers in the committed root
+//! `PAPER_RESULTS.jsonl` (see `DESIGN.md` → per-experiment index):
 //!
-//! One binary per experiment (see `DESIGN.md` → per-experiment index):
-//!
-//! | experiment | binary |
+//! | experiment | `paper` argument |
 //! |---|---|
+//! | Figure 1 (bound chain) | `figure1` |
 //! | §5 experiment 1 (easy cyclic aggregate) | `easy_cyclic` |
 //! | Table 1 (difficult cyclic vs Espresso) | `table1` |
 //! | Table 2 (challenging vs Espresso) | `table2` |
 //! | Table 3 (difficult cyclic vs exact) | `table3` |
 //! | Table 4 (challenging vs exact) | `table4` |
-//! | Figure 1 (bound chain) | `figure1` |
+//! | §3.4 bound sweep (Proposition 1) | `bounds_sweep` |
 //! | design-choice ablations | `ablation` |
-//! | pooled restarts == serial (difficult cores, Paper) | `parallel` |
+//! | §3.2 subgradient convergence | `convergence` |
+//! | classic Berkeley functions | `classic` |
 //!
-//! Throughput, latency and per-layer costs are measured by the repository
-//! benchmark under `ucpbench/`, not here.
+//! The `parallel` binary checks that pooled restarts return the serial
+//! answer on the difficult cores. Throughput, latency and per-layer costs
+//! are measured by the repository benchmark under `ucpbench/`, not here.
 
 use cover::CoverMatrix;
 use solvers::{branch_and_bound, espresso_like, BnbOptions, EspressoMode};
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, BufWriter};
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use ucp_core::{Scg, ScgOptions, ScgOutcome, SolveRequest};
-use ucp_telemetry::{JsonObj, JsonlSink};
+use ucp_telemetry::JsonObj;
+
+/// The exact solver's budget in branch-and-bound nodes, the same for every
+/// experiment. There is no wall-clock limit, so where a truncated search
+/// stops (and its `H` incumbent) does not depend on the machine.
+pub const EXACT_NODES: u64 = 300_000;
 
 /// Formats seconds with two decimals (the tables' `T(s)` style).
 pub fn secs(d: Duration) -> String {
@@ -66,100 +70,22 @@ pub fn run_espresso(
     Ok((solution.cost(m), t.elapsed()))
 }
 
-/// Runs the exact branch-and-bound under a budget; returns the result.
-pub fn run_exact(m: &CoverMatrix, node_limit: u64, time_limit: Duration) -> solvers::BnbResult {
+/// Runs the exact branch-and-bound for at most [`EXACT_NODES`] nodes.
+pub fn run_exact(m: &CoverMatrix) -> solvers::BnbResult {
     branch_and_bound(
         m,
         &BnbOptions {
-            node_limit,
-            time_limit: Some(time_limit),
+            node_limit: EXACT_NODES,
+            time_limit: None,
             ..BnbOptions::default()
         },
     )
 }
 
-/// Machine-readable results writer for the table/figure binaries.
+/// A table printed as aligned Markdown.
 ///
-/// Each experiment gets `results/<name>.jsonl` (relative to the working
-/// directory — the workspace root under `cargo run`), one schema-versioned
-/// JSON line per instance, opened with a `bench_header` line naming the
-/// experiment. Write errors are sticky inside the sink and surface from
-/// [`BenchLog::finish`] — a bench run cannot silently produce a truncated
-/// results file.
-pub struct BenchLog {
-    sink: JsonlSink<BufWriter<File>>,
-    path: PathBuf,
-}
-
-impl BenchLog {
-    /// Creates (or truncates) `results/<name>.jsonl`.
-    pub fn create(name: &str) -> io::Result<BenchLog> {
-        let dir = Path::new("results");
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.jsonl"));
-        let file = File::create(&path)?;
-        let mut sink = JsonlSink::new(BufWriter::new(file));
-        sink.write_line("bench_header", |o| {
-            o.field_str("bench", name);
-        });
-        Ok(BenchLog { sink, path })
-    }
-
-    /// The file this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one result row with the given event kind.
-    pub fn row(&mut self, kind: &str, fill: impl FnOnce(&mut JsonObj)) {
-        self.sink.write_line(kind, fill);
-    }
-
-    /// Flushes and reports where the results landed; propagates the first
-    /// write error if any row was lost.
-    pub fn finish(self) -> io::Result<PathBuf> {
-        self.sink.finish()?;
-        Ok(self.path)
-    }
-}
-
-/// Convenience: finish a log and print where it wrote, aborting the bench
-/// binary with a clear message when the results file could not be written.
-pub fn finish_log(log: BenchLog) {
-    match log.finish() {
-        Ok(path) => eprintln!("results: {}", path.display()),
-        Err(e) => {
-            eprintln!("error: failed to write results file: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Appends the standard `ZDD_SCG` outcome fields to a results row.
-pub fn scg_fields(o: &mut JsonObj, out: &ScgOutcome) {
-    o.field_f64("cost", out.cost);
-    o.field_f64("lower_bound", out.lower_bound);
-    o.field_bool("proven_optimal", out.proven_optimal);
-    o.field_bool("infeasible", out.infeasible);
-    o.field_u64("iterations", out.iterations as u64);
-    o.field_u64("subgradient_iterations", out.subgradient_iterations as u64);
-    o.field_u64("restart_workers", out.restart_workers as u64);
-    o.field_f64("cc_seconds", out.cc_time.as_secs_f64());
-    o.field_f64("total_seconds", out.total_time.as_secs_f64());
-    o.field_u64("core_rows", out.core_rows as u64);
-    o.field_u64("core_cols", out.core_cols as u64);
-    o.field_raw("phase_times", &out.phase_times.to_json());
-    o.field_u64("zdd_cache_hits", out.zdd_stats.cache_hits);
-    o.field_u64("zdd_cache_misses", out.zdd_stats.cache_misses);
-    o.field_u64("zdd_cache_evictions", out.zdd_stats.cache_evictions);
-    o.field_u64("zdd_peak_nodes", out.zdd_stats.peak_nodes as u64);
-    o.field_u64("zdd_live_nodes", out.zdd_stats.live_nodes as u64);
-    o.field_u64("zdd_unique_relocations", out.zdd_stats.unique_relocations);
-    o.field_u64("zdd_gc_runs", out.zdd_stats.gc_runs);
-    o.field_u64("zdd_gc_reclaimed", out.zdd_stats.gc_reclaimed);
-}
-
-/// A minimal fixed-width table printer.
+/// Columns whose header ends in `(s)` hold wall-clock seconds: they are
+/// printed but left out of [`Table::jsonl`], which records answers only.
 #[derive(Debug, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -182,32 +108,46 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Renders with aligned columns.
+    /// Renders as a Markdown table with right-aligned, padded columns.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(cell.chars().count());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
+        let fmt_row = |cells: &[String]| -> String {
+            let mut line = String::from("|");
+            for (c, w) in cells.iter().zip(&widths) {
+                line.push_str(&format!(" {c:>w$} |"));
+            }
+            line + "\n"
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        let mut out = fmt_row(&self.header);
+        out.push('|');
+        for w in &widths {
+            out.push_str(&format!("{}:|", "-".repeat(w + 1)));
+        }
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            out.push_str(&fmt_row(row));
         }
         out
+    }
+
+    /// One JSON object per row, `{"experiment":…}` first, then every
+    /// column but the `(s)` timings, keyed by header, valued as printed.
+    pub fn jsonl<'a>(&'a self, experiment: &'a str) -> impl Iterator<Item = String> + 'a {
+        self.rows.iter().map(move |row| {
+            let mut o = JsonObj::new();
+            o.field_str("experiment", experiment);
+            for (h, c) in self.header.iter().zip(row) {
+                if !h.ends_with("(s)") {
+                    o.field_str(h, c);
+                }
+            }
+            o.finish()
+        })
     }
 }
 
@@ -223,8 +163,21 @@ mod tests {
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("Name"));
-        assert!(lines[2].ends_with("121"));
+        assert_eq!(lines[0], "|   Name | Sol |");
+        assert_eq!(lines[1], "|-------:|----:|");
+        assert_eq!(lines[2], "| bench1 | 121 |");
+        assert_eq!(lines[3], "|      x |   9 |");
+    }
+
+    #[test]
+    fn jsonl_records_answers_not_timings() {
+        let mut t = Table::new(["Name", "Sol", "T(s)"]);
+        t.row(["bench1", "32*", "0.18"]);
+        let lines: Vec<String> = t.jsonl("table1").collect();
+        assert_eq!(
+            lines,
+            [r#"{"experiment":"table1","Name":"bench1","Sol":"32*"}"#]
+        );
     }
 
     #[test]
@@ -237,7 +190,7 @@ mod tests {
         assert_eq!(scg.cost, 3.0);
         let (e, _) = run_espresso(&m, EspressoMode::Normal).expect("feasible instance");
         assert!(e >= 3.0);
-        let exact = run_exact(&m, 10_000, Duration::from_secs(5));
+        let exact = run_exact(&m);
         assert!(exact.optimal);
         assert_eq!(exact.cost, 3.0);
     }

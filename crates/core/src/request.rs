@@ -650,8 +650,11 @@ impl Scg {
         // infeasible-by-construction spec fails typed, not mid-solve, and
         // the solve builds its constraint context without re-checking.
         // All-ones coverage with no groups is the unate problem and takes
-        // the unate path bit-for-bit.
-        if constraints != Constraints::default() {
+        // the unate path bit-for-bit: only its shape is checked, so an
+        // uncoverable row reports `infeasible` exactly as without it.
+        if constraints.is_unate() {
+            constraints.validate_dims(m.num_rows(), m.num_cols())?;
+        } else {
             constraints.validate_for(m)?;
         }
         let resume_ref = resume.as_deref();
@@ -881,6 +884,26 @@ mod tests {
         assert_send(&req);
         let out = Scg::run(req).unwrap();
         assert_eq!(out.cost, 3.0);
+    }
+
+    #[test]
+    fn explicit_all_ones_coverage_matches_the_default_on_an_uncoverable_row() {
+        // Row 1 has no covering column.
+        let m = CoverMatrix::from_rows(2, vec![vec![0, 1], vec![]]);
+        let dflt = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
+        assert!(dflt.infeasible);
+        let ones = Scg::run(SolveRequest::for_matrix(&m).coverage(vec![1, 1])).unwrap();
+        assert!(ones.infeasible);
+        assert_eq!(ones.cost, dflt.cost);
+        assert_eq!(ones.solution.cols(), dflt.solution.cols());
+        let err = Scg::run(SolveRequest::for_matrix(&m).coverage(vec![1, 1, 1])).unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::InvalidConstraints(ConstraintError::CoverageLength {
+                expected: 2,
+                got: 3
+            })
+        );
     }
 
     #[test]
