@@ -626,7 +626,7 @@ fn classic() -> Outcome {
             matched += usize::from(scg.cost == exact.cost);
         }
         assert!(
-            inst.verify_against(&pla, &inst.solution_to_pla(&scg.solution)),
+            logic::espresso::realizes(&pla, &inst.solution_to_pla(&scg.solution)),
             "{name}: cover does not realise the function"
         );
         t.row([

@@ -6,24 +6,22 @@
 //! for every output in the set. Column costs are 1 (the paper's objective:
 //! number of products, literals only a secondary concern).
 //!
-//! **Multi-output fidelity.** Columns start from each output's single-output
-//! primes with their *maximal* shared output set, then are closed under
-//! pairwise intersection (bounded) so that terms shared between outputs —
-//! multi-output primes whose input part is prime for no single output — are
-//! available too. The closure is capped; see `DESIGN.md`.
+//! **Multi-output fidelity.** The columns are exactly the multi-output
+//! primes: every cube with its *maximal* output set that no single-literal
+//! widening keeps implicant for that set. Terms shared between outputs
+//! whose input part is prime for no single output are among them. All are
+//! generated in one implicit prime computation; see `DESIGN.md`.
 
 use crate::cube::Cube;
 use crate::pla::Pla;
-use crate::primes::prime_cubes;
+use crate::primes::{literal, prime_implicants};
 use bdd::{Bdd, BddId};
 use cover::{CoverMatrix, Solution};
-use std::collections::HashMap;
 use std::fmt;
+use zdd::Zdd;
 
 /// Guard on explicit minterm expansion.
 const MAX_EXPANSION_INPUTS: usize = 24;
-/// Cap on the column closure.
-const MAX_COLUMNS: usize = 20_000;
 
 /// A unate covering instance derived from a PLA.
 #[derive(Clone, Debug)]
@@ -85,31 +83,6 @@ impl UcpInstance {
         }
         pla
     }
-
-    /// Verifies that a candidate PLA realises the original specification:
-    /// for every output, `ON ⊆ candidate ⊆ ON ∪ DC`.
-    pub fn verify_against(&self, original: &Pla, candidate: &Pla) -> bool {
-        if original.num_inputs() != candidate.num_inputs()
-            || original.num_outputs() != candidate.num_outputs()
-        {
-            return false;
-        }
-        let n = original.num_inputs();
-        for o in 0..original.num_outputs() {
-            let on = original.on_cover(o);
-            let dc = original.dc_cover(o);
-            let cand = candidate.on_cover(o);
-            for a in 0..1u64 << n {
-                let lower = on.eval(a);
-                let upper = lower || dc.eval(a);
-                let got = cand.eval(a);
-                if (lower && !got) || (got && !upper) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 /// The column-cost objective.
@@ -159,30 +132,20 @@ pub fn build_covering(pla: &Pla) -> Result<UcpInstance, BuildCoveringError> {
 ///
 /// See [`build_covering`].
 pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, BuildCoveringError> {
-    build_covering_capped(pla, cost, MAX_COLUMNS)
-}
-
-/// [`build_covering_with`] with the candidate-column cap as an argument.
-fn build_covering_capped(
-    pla: &Pla,
-    cost: TermCost,
-    max_columns: usize,
-) -> Result<UcpInstance, BuildCoveringError> {
     let n = pla.num_inputs();
     if n > MAX_EXPANSION_INPUTS {
         return Err(BuildCoveringError::TooManyInputs(n));
     }
+    let candidates = candidate_columns(pla);
     let mut mgr = Bdd::default();
-    let funcs = pla.output_functions(&mut mgr);
-    let uppers: Vec<BddId> = funcs.iter().map(|f| mgr.or(f.on, f.dc)).collect();
-    let candidates = candidate_columns(&mut mgr, &uppers, max_columns);
 
     // Rows: each output's ON-minterms in BDD order. Per output, the same
     // minterms paired with their rows and sorted, as the row index.
     let mut rows_meta: Vec<(u64, usize)> = Vec::new();
-    let mut on_rows: Vec<Vec<(u64, usize)>> = Vec::with_capacity(funcs.len());
-    for (o, f) in funcs.iter().enumerate() {
-        let ms = mgr.minterms(f.on, n as u32);
+    let mut on_rows: Vec<Vec<(u64, usize)>> = Vec::with_capacity(pla.num_outputs());
+    for o in 0..pla.num_outputs() {
+        let on = pla.on_cover(o).to_bdd(&mut mgr);
+        let ms = mgr.minterms(on, n as u32);
         let first = rows_meta.len();
         rows_meta.extend(ms.iter().map(|&m| (m, o)));
         let mut index: Vec<(u64, usize)> = ms.into_iter().zip(first..).collect();
@@ -202,7 +165,7 @@ fn build_covering_capped(
     for (cube, mask) in candidates {
         hits.clear();
         let free = universe & !(cube.pos() | cube.neg());
-        for index in (0..funcs.len())
+        for index in (0..on_rows.len())
             .filter(|o| mask >> o & 1 == 1)
             .map(|o| &on_rows[o])
         {
@@ -258,74 +221,60 @@ fn build_covering_capped(
     })
 }
 
-/// Candidate columns, sorted: every output's primes with their maximal
-/// output sets and, for several outputs, their closure under pairwise
-/// intersection, so shared multi-output terms become available. The
-/// closure meets each unordered pair of columns once and stops at
-/// `max_columns`.
-fn candidate_columns(mgr: &mut Bdd, uppers: &[BddId], max_columns: usize) -> Vec<(Cube, u64)> {
-    let mut primes: Vec<Cube> = Vec::new();
-    for &upper in uppers {
-        primes.extend(prime_cubes(mgr, upper));
-    }
-    primes.sort_unstable();
-    primes.dedup();
-    let mut cols: Vec<(Cube, u64)> = primes
-        .into_iter()
-        .map(|c| (c, output_set(mgr, uppers, &c)))
+/// Candidate columns, sorted: the multi-output primes, each input cube
+/// with its maximal output set. They are the primes of
+/// `χ(x, y) = ∧ₒ (¬yₒ ∨ (onₒ ∨ dcₒ)(x))`. `χ` is negative unate in `y`, so
+/// a prime's output set is the outputs whose `¬yₒ` it lacks; the one prime
+/// with an empty set is dropped. `yₒ` = variable `o` sits above `xᵥ` =
+/// variable `m + v`: every `y` node then has cofactors `χ₁ ≤ χ₀`, so the
+/// recursion's `χ₀ ∧ χ₁` is `χ₁`, already memoised, and the build takes
+/// half the time it takes with `y` below `x`.
+fn candidate_columns(pla: &Pla) -> Vec<(Cube, u64)> {
+    let m = pla.num_outputs();
+    let mut mgr = Bdd::default();
+    let terms: Vec<(BddId, u64)> = pla
+        .terms()
+        .iter()
+        .map(|&(cube, on, dc)| (cube.bdd_at(&mut mgr, m as u32), on | dc))
         .collect();
+    let mut chi = BddId::TRUE;
+    for o in (0..m).rev() {
+        let mut upper = BddId::FALSE;
+        for &(term, outputs) in &terms {
+            if outputs >> o & 1 == 1 {
+                upper = mgr.or(upper, term);
+            }
+        }
+        let not_y = mgr.nvar(o as u32);
+        let clause = mgr.or(not_y, upper);
+        chi = mgr.and(clause, chi);
+    }
 
-    if uppers.len() > 1 {
-        // Every cube whose output set is known, and whether it is a column.
-        let mut seen: HashMap<Cube, (u64, bool)> =
-            cols.iter().map(|&(c, mask)| (c, (mask, true))).collect();
-        // Column `i` meets the columns before it; a new column is appended
-        // and meets all of them in its own turn.
-        let mut i = 0;
-        'closure: while i < cols.len() && cols.len() < max_columns {
-            let (a, mask_a) = cols[i];
-            for k in 0..i {
-                let (b, mask_b) = cols[k];
-                if mask_a == mask_b {
-                    continue; // same output set: intersection gains nothing
-                }
-                let Some(c) = a.intersect(&b) else { continue };
-                let known = seen
-                    .entry(c)
-                    .or_insert_with(|| (output_set(mgr, uppers, &c), false));
-                let (mask_c, is_column) = *known;
-                if is_column {
-                    continue;
-                }
-                if mask_c & !(mask_a | mask_b) != 0 || (mask_c != mask_a && mask_c != mask_b) {
-                    known.1 = true;
-                    cols.push((c, mask_c));
-                    if cols.len() >= max_columns {
-                        break 'closure;
-                    }
+    let mut zdd = Zdd::default();
+    let primes = prime_implicants(&mut mgr, &mut zdd, chi);
+    let every_output = if m == 64 { u64::MAX } else { (1 << m) - 1 };
+    let mut cols: Vec<(Cube, u64)> = zdd
+        .sets(primes)
+        .filter_map(|lits| {
+            let (mut mask, mut pos, mut neg) = (every_output, 0u64, 0u64);
+            for lit in lits {
+                match literal(lit) {
+                    (v, _) if (v as usize) < m => mask &= !(1 << v),
+                    (v, true) => pos |= 1 << (v as usize - m),
+                    (v, false) => neg |= 1 << (v as usize - m),
                 }
             }
-            i += 1;
-        }
-    }
+            (mask != 0).then(|| (Cube::new(pos, neg), mask))
+        })
+        .collect();
     cols.sort_unstable();
     cols
-}
-
-/// The maximal set of outputs for which `cube` is an implicant of `upper_o`.
-fn output_set(mgr: &Bdd, uppers: &[BddId], cube: &Cube) -> u64 {
-    let mut mask = 0u64;
-    for (o, &upper) in uppers.iter().enumerate() {
-        if cube.implies(mgr, upper) {
-            mask |= 1 << o;
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::espresso::realizes;
 
     fn solve_brute(inst: &UcpInstance) -> Solution {
         let n = inst.matrix.num_cols();
@@ -354,7 +303,7 @@ mod tests {
         let sol = solve_brute(&inst);
         assert_eq!(sol.len(), 2);
         let min = inst.solution_to_pla(&sol);
-        assert!(inst.verify_against(&pla, &min));
+        assert!(realizes(&pla, &min));
     }
 
     #[test]
@@ -366,7 +315,7 @@ mod tests {
         let sol = solve_brute(&inst);
         assert_eq!(sol.len(), 1);
         let min = inst.solution_to_pla(&sol);
-        assert!(inst.verify_against(&pla, &min));
+        assert!(realizes(&pla, &min));
     }
 
     #[test]
@@ -377,7 +326,7 @@ mod tests {
         let sol = solve_brute(&inst);
         assert_eq!(sol.len(), 1, "one shared term must suffice");
         let min = inst.solution_to_pla(&sol);
-        assert!(inst.verify_against(&pla, &min));
+        assert!(realizes(&pla, &min));
     }
 
     #[test]
@@ -392,7 +341,7 @@ mod tests {
             .any(|&(c, mask)| mask == 0b11 && c == "111".parse().unwrap());
         assert!(
             shared,
-            "closure should add the shared term: {:?}",
+            "the shared term is a multi-output prime: {:?}",
             inst.columns
         );
     }
@@ -413,51 +362,42 @@ mod tests {
         );
     }
 
-    /// A seeded multi-output PLA whose intersection closure more than
-    /// doubles its prime count.
-    fn closure_heavy_pla() -> Pla {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let (n, outputs) = (8, 6);
-        let mut pla = Pla::new(n, outputs);
-        for _ in 0..40 {
-            let care = (next() | next()) & ((1 << n) - 1);
-            let pos = next() & care;
-            let on = next() % ((1 << outputs) - 1) + 1;
-            pla.push_term(Cube::new(pos, care & !pos), on, 0);
-        }
-        pla
-    }
-
     #[test]
-    fn capped_closure_is_deterministic() {
-        let pla = closure_heavy_pla();
-        let candidates = |cap: usize| {
-            let mut mgr = Bdd::default();
-            let uppers: Vec<BddId> = pla
-                .output_functions(&mut mgr)
-                .iter()
-                .map(|f| mgr.or(f.on, f.dc))
-                .collect();
-            candidate_columns(&mut mgr, &uppers, cap).len()
-        };
-        // A cap of zero keeps only the primes.
-        let (primes, closed) = (candidates(0), candidates(usize::MAX));
-        let cap = (primes + closed) / 2;
-        assert!(
-            primes < cap && cap < closed,
-            "{primes} primes, {closed} closed"
-        );
-        assert_eq!(candidates(cap), cap);
-        let first = build_covering_capped(&pla, TermCost::Products, cap).unwrap();
-        let second = build_covering_capped(&pla, TermCost::Products, cap).unwrap();
-        assert_eq!(first.columns, second.columns);
-        assert_eq!(first.matrix.rows(), second.matrix.rows());
+    fn outputs_beyond_cube_width_decode() {
+        // 2 inputs and 64 outputs: χ has 66 variables, more than a Cube
+        // holds. Output o is the 2-input function with truth table o % 16.
+        let (n, m) = (2, 64);
+        let on = |o: usize, a: u64| (o % 16) >> a & 1 == 1;
+        let mut pla = Pla::new(n, m);
+        for a in 0..4u64 {
+            let outputs = (0..m).filter(|&o| on(o, a)).map(|o| 1 << o);
+            pla.push_term(Cube::minterm(a, n), outputs.sum(), 0);
+        }
+        let inst = build_covering(&pla).unwrap();
+
+        // Brute force: every cube with its maximal output set, prime for
+        // that set and covering some ON-minterm of it.
+        let implicant = |c: &Cube, o: usize| (0..4).all(|a| !c.eval(a) || on(o, a));
+        let mask_of =
+            |c: &Cube| -> u64 { (0..m).filter(|&o| implicant(c, o)).map(|o| 1 << o).sum() };
+        let mut want: Vec<(Cube, u64)> = (0..16u64)
+            .filter(|&lits| lits & 3 & lits >> 2 == 0)
+            .map(|lits| Cube::new(lits & 3, lits >> 2))
+            .map(|c| (c, mask_of(&c)))
+            .filter(|&(c, mask)| {
+                let prime = (0..n).filter(|&v| !c.is_dont_care(v)).all(|v| {
+                    let wider = Cube::new(c.pos() & !(1 << v), c.neg() & !(1 << v));
+                    mask_of(&wider) & mask != mask
+                });
+                let useful =
+                    (0..m).any(|o| mask >> o & 1 == 1 && (0..4).any(|a| c.eval(a) && on(o, a)));
+                prime && useful
+            })
+            .collect();
+        want.sort_unstable();
+        assert_eq!(inst.columns, want);
+        let min = inst.solution_to_pla(&solve_brute(&inst));
+        assert!(realizes(&pla, &min));
     }
 
     #[test]

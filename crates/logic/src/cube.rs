@@ -192,15 +192,20 @@ impl Cube {
     /// assert!(!mgr.eval(f, &[true, false, true]));
     /// ```
     pub fn to_bdd(&self, mgr: &mut Bdd) -> BddId {
+        self.bdd_at(mgr, 0)
+    }
+
+    /// [`Cube::to_bdd`] with input `v` as BDD variable `first + v`.
+    pub(crate) fn bdd_at(&self, mgr: &mut Bdd, first: u32) -> BddId {
         let mut acc = BddId::TRUE;
         let mut lits = self.pos | self.neg;
         while lits != 0 {
             let v = 63 - lits.leading_zeros();
             lits &= !(1 << v);
             let lit = if self.has_pos(v as usize) {
-                mgr.var(v)
+                mgr.var(first + v)
             } else {
-                mgr.nvar(v)
+                mgr.nvar(first + v)
             };
             acc = mgr.and(lit, acc);
         }

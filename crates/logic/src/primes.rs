@@ -84,19 +84,22 @@ fn primes_rec(mgr: &mut Bdd, zdd: &mut Zdd, f: BddId, memo: &mut HashMap<BddId, 
     r
 }
 
+/// The BDD variable of a ZDD literal variable and whether the literal is
+/// positive.
+pub(crate) fn literal(lit: Var) -> (u32, bool) {
+    (lit.0 / 2, lit.0 & 1 == 0)
+}
+
 /// Decodes a ZDD of literal sets into explicit [`Cube`]s.
 pub fn decode_primes(zdd: &Zdd, primes: NodeId) -> Vec<Cube> {
-    zdd.to_sets(primes)
-        .into_iter()
+    zdd.sets(primes)
         .map(|lits| {
             let mut pos = 0u64;
             let mut neg = 0u64;
             for lit in lits {
-                let v = lit.0 / 2;
-                if lit.0 % 2 == 0 {
-                    pos |= 1 << v;
-                } else {
-                    neg |= 1 << v;
+                match literal(lit) {
+                    (v, true) => pos |= 1 << v,
+                    (v, false) => neg |= 1 << v,
                 }
             }
             Cube::new(pos, neg)

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example two_level_minimization`
 
+use ucp::logic::espresso::realizes;
 use ucp::logic::{build_covering, Pla};
 use ucp::ucp_core::{Scg, SolveRequest};
 
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Back to a PLA and verify ON ⊆ result ⊆ ON ∪ DC for every output.
     let minimised = inst.solution_to_pla(&outcome.solution);
     assert!(
-        inst.verify_against(&pla, &minimised),
+        realizes(&pla, &minimised),
         "minimised PLA must realise the specification"
     );
     println!("\nminimised PLA (verified equivalent under don't-cares):");

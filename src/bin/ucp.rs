@@ -348,7 +348,7 @@ fn cmd_minimize(args: &[String]) -> CliResult {
         (out.solution, out.cost, out.proven_optimal)
     };
     let minimised = inst.solution_to_pla(&solution);
-    if !inst.verify_against(&pla, &minimised) {
+    if !ucp::logic::espresso::realizes(&pla, &minimised) {
         return Err("internal error: minimised PLA failed verification".into());
     }
     eprintln!(

@@ -1,6 +1,7 @@
 //! End-to-end pipeline tests: PLA → primes → covering matrix → ZDD_SCG →
 //! minimised, *verified* PLA — the full flow of the paper's system.
 
+use ucp::logic::espresso::realizes;
 use ucp::logic::{build_covering, Pla};
 use ucp::solvers::{branch_and_bound, BnbOptions};
 use ucp::ucp_core::{Scg, SolveRequest};
@@ -15,7 +16,7 @@ fn minimise_and_verify(pla: &Pla) -> (f64, f64, bool) {
     );
     let minimised = inst.solution_to_pla(&outcome.solution);
     assert!(
-        inst.verify_against(pla, &minimised),
+        realizes(pla, &minimised),
         "minimised PLA must realise the spec"
     );
     (outcome.cost, outcome.lower_bound, outcome.proven_optimal)
@@ -128,7 +129,7 @@ fn cube_level_espresso_agrees_with_exact_covering() {
     // Two independent minimisers: the cube-level EXPAND/IRREDUNDANT/REDUCE
     // heuristic can never beat the exact covering optimum, and both must
     // realise the spec.
-    use ucp::logic::espresso::{minimize, realizes};
+    use ucp::logic::espresso::minimize;
     for seed in 200..212u64 {
         let pla = random_pla(5, 2, 12, 150, seed);
         let cube_min = minimize(&pla, &Default::default());
@@ -167,5 +168,5 @@ fn literal_objective_end_to_end() {
     // Same number of products (the primary objective survives the ε-costs).
     assert_eq!(unit_out.solution.len(), lex_out.solution.len());
     let min = lex.solution_to_pla(&lex_out.solution);
-    assert!(lex.verify_against(&pla, &min));
+    assert!(realizes(&pla, &min));
 }
