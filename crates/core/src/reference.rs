@@ -12,10 +12,11 @@
 //! equality.
 //!
 //! Semantics intentionally shared with the live loop (not historical):
-//! `heuristic_period == 0` disables the periodic greedy, and the
-//! optimality certificate goes through [`crate::subgradient`]'s single
-//! `certified` predicate — the two fixes of this rework apply to both
-//! paths so the oracle stays comparable.
+//! the greedy schedule of [`SubgradientOptions::heuristic_period`] (a
+//! pass on the period and on every bound-improving iteration, the rule
+//! rotating over the passes run, `0` = off), kept here as its own copy
+//! so the suite cross-checks it, and the optimality certificate, which
+//! goes through [`crate::subgradient`]'s single `certified` predicate.
 //!
 //! Not part of the supported API (`#[doc(hidden)]`): only the test suite
 //! should call these.
@@ -282,6 +283,7 @@ pub fn subgradient_ascent_dense(
     let mut t = opts.t0;
     let mut since_improve = 0usize;
     let mut iterations = 0usize;
+    let mut passes = 0usize;
     let mut history: Vec<HistoryPoint> = Vec::new();
 
     let target_ub = |best_cost: f64, ub_ld: f64| -> f64 {
@@ -306,9 +308,13 @@ pub fn subgradient_ascent_dense(
             }
         }
 
-        // Auxiliary primal heuristic on the current Lagrangian costs.
-        if opts.heuristic_period != 0 && k % opts.heuristic_period == 0 {
-            let rule = GammaRule::FAST[k % GammaRule::FAST.len()];
+        // Auxiliary primal heuristic on the current Lagrangian costs: on
+        // the period and on bound-improving iterations, rotating the rule
+        // over the passes run.
+        let period = opts.heuristic_period;
+        if period != 0 && (k % period == 0 || improved) {
+            let rule = GammaRule::FAST[passes % GammaRule::FAST.len()];
+            passes += 1;
             if let Some(sol) = lagrangian_greedy_dense(a, &p_eval.c_tilde, rule) {
                 let cost = sol.cost(a);
                 if cost < best_cost {

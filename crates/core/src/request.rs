@@ -44,13 +44,15 @@ pub use cover::CancelFlag;
 /// Each preset pins the paper's headline knobs — `NumIter` (number of
 /// constructive runs), the `BestCol` randomisation width growth, and
 /// the rating weight `α` in `σ_j = c̃_j − α·μ_j` — plus the subgradient
-/// iteration cap:
+/// iteration cap and greedy period
+/// ([`SubgradientOptions::heuristic_period`]; multicover solves clamp it
+/// to 1):
 ///
-/// | preset | `NumIter` | `BestCol` growth | `α` | subgradient iters |
-/// |---|---|---|---|---|
-/// | [`Preset::Paper`] | 4 | 1 (width `min(k, 16)`) | 2.0 | 300 |
-/// | [`Preset::Fast`] | 1 | 1 (deterministic run only) | 2.0 | 120 |
-/// | [`Preset::Thorough`] | 12 | 2 (width `min(2k−1, 16)`) | 2.0 | 600 |
+/// | preset | `NumIter` | `BestCol` growth | `α` | subgradient iters | greedy period |
+/// |---|---|---|---|---|---|
+/// | [`Preset::Paper`] | 4 | 1 (width `min(k, 16)`) | 2.0 | 300 | 20 |
+/// | [`Preset::Fast`] | 1 | 1 (deterministic run only) | 2.0 | 120 | 20 |
+/// | [`Preset::Thorough`] | 12 | 2 (width `min(2k−1, 16)`) | 2.0 | 600 | 20 |
 ///
 /// `Paper` is the published configuration (and `ScgOptions::default()`).
 /// `Fast` is for tests and large sweeps: the single deterministic run,
@@ -721,6 +723,13 @@ mod tests {
         assert_eq!(paper.num_iter, dflt.num_iter);
         assert_eq!(paper.alpha, dflt.alpha);
         assert_eq!(paper.subgradient.max_iters, dflt.subgradient.max_iters);
+    }
+
+    #[test]
+    fn every_preset_inherits_the_greedy_period() {
+        for p in Preset::ALL {
+            assert_eq!(p.options().subgradient.heuristic_period, 20, "{p:?}");
+        }
     }
 
     #[test]

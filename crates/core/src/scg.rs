@@ -532,6 +532,15 @@ impl Scg {
         probe: &mut P,
     ) -> CoreOutcome {
         let integer_costs = m.integer_costs();
+        // The constrained greedy is the only place these ascents find a
+        // cover, so they keep a pass every iteration (period 0 stays off):
+        // sparser passes leave feasible crew instances without a cover
+        // until a repair step for saturated GUB groups lands (ROADMAP,
+        // "Multicover never comes back empty").
+        let sub_opts = SubgradientOptions {
+            heuristic_period: self.opts.subgradient.heuristic_period.min(1),
+            ..self.opts.subgradient
+        };
         probe.record(Event::PhaseBegin {
             phase: Phase::Subgradient,
         });
@@ -555,7 +564,7 @@ impl Scg {
             // only).
             let initial_opts = SubgradientOptions {
                 occurrence_heuristic: true,
-                ..self.opts.subgradient
+                ..sub_opts
             };
             let res = ascent_impl(m, &initial_opts, None, None, Some(mctx), probe);
             sub_iters = res.iterations;
@@ -587,14 +596,7 @@ impl Scg {
                 .map(|&l| l * rng.random_range(0.8..1.2))
                 .collect();
             let ub_hint = best.cost.is_finite().then_some(best.cost);
-            let r = ascent_impl(
-                m,
-                &self.opts.subgradient,
-                Some(&lambda0),
-                ub_hint,
-                Some(mctx),
-                probe,
-            );
+            let r = ascent_impl(m, &sub_opts, Some(&lambda0), ub_hint, Some(mctx), probe);
             sub_iters += r.iterations;
             iterations = k + 1;
             if r.lb > best_lb {
@@ -1268,6 +1270,70 @@ mod tests {
         assert_eq!(out.cost, 2.0);
         assert_eq!(out.solution.cols(), &[0, 3]);
         assert!(out.proven_optimal);
+    }
+
+    /// A small crew schedule: rows are periods, each crew has rosters
+    /// (windows of consecutive periods) of which at most one is taken,
+    /// and a period demands as many crews as the first rosters put on it.
+    fn small_crew() -> (CoverMatrix, Constraints) {
+        use cover::GubGroup;
+        let (periods, crews, rosters, len) = (48usize, 10usize, 4usize, 8usize);
+        let mut cols: Vec<Vec<usize>> = Vec::new();
+        let mut costs = Vec::new();
+        let mut groups = Vec::new();
+        for k in 0..crews {
+            let first = cols.len();
+            for r in 0..rosters {
+                let start = (k * periods / crews + 7 * r) % periods;
+                cols.push((0..len).map(|d| (start + d) % periods).collect());
+                costs.push((len + (2 * k + 2 * r + k * r) % 5) as f64);
+            }
+            groups.push(GubGroup::new((first..first + rosters).collect(), 1));
+        }
+        let mut rows = vec![Vec::new(); periods];
+        for (j, col) in cols.iter().enumerate() {
+            for &i in col {
+                rows[i].push(j);
+            }
+        }
+        let demand = (0..periods)
+            .map(|i| {
+                (0..crews)
+                    .filter(|&k| cols[k * rosters].contains(&i))
+                    .count() as u32
+            })
+            .collect();
+        let m = CoverMatrix::with_costs(cols.len(), rows, costs);
+        (m, Constraints::new().coverage(demand).gub_groups(groups))
+    }
+
+    #[test]
+    fn multicover_ascents_keep_the_every_iteration_greedy() {
+        // The multicover solver clamps the greedy period to 1, so the
+        // default schedule and an explicit period 1 give the same outcome.
+        let (m, cons) = small_crew();
+        let run = |period: usize| {
+            let mut opts = ScgOptions::default();
+            opts.subgradient.heuristic_period = period;
+            Scg::run(
+                SolveRequest::for_matrix(&m)
+                    .options(opts)
+                    .constraints(cons.clone()),
+            )
+            .expect("no cancel flag")
+        };
+        let dflt = run(ScgOptions::default().subgradient.heuristic_period);
+        let every = run(1);
+        assert!(cons.is_satisfied(&m, &dflt.solution));
+        // Restarts run, and the unclamped schedule would change their
+        // ascents' trajectories.
+        assert!(dflt.iterations > 1 && !dflt.proven_optimal);
+        assert_eq!(dflt.cost.to_bits(), every.cost.to_bits());
+        assert_eq!(dflt.lower_bound.to_bits(), every.lower_bound.to_bits());
+        assert_eq!(dflt.solution, every.solution);
+        assert_eq!(dflt.proven_optimal, every.proven_optimal);
+        assert_eq!(dflt.iterations, every.iterations);
+        assert_eq!(dflt.subgradient_iterations, every.subgradient_iterations);
     }
 }
 

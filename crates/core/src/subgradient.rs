@@ -36,9 +36,21 @@ pub struct SubgradientOptions {
     /// Run the expensive occurrence-weighted greedy (rule 4) once at the
     /// start — the paper enables it on the initial problem only.
     pub occurrence_heuristic: bool,
-    /// Run a cheap greedy heuristic every this many iterations. `0`
-    /// disables the periodic heuristic entirely (the initial greedy that
-    /// seeds the incumbent and `μ0` still runs).
+    /// Schedule of the cheap Lagrangian greedy inside the loop. With
+    /// period `p > 0`, iteration `k` runs one greedy pass iff `k % p == 0`
+    /// or the lower bound rose at `k`; the passes cycle through
+    /// [`GammaRule::FAST`] in the order they run. `1` runs a pass every
+    /// iteration, and `0` disables the periodic heuristic entirely (the
+    /// initial greedy that seeds the incumbent and `μ0` still runs).
+    ///
+    /// The default is 20: passes only find incumbents, and on the
+    /// difficult cores about one in 150 improves one, many of them early
+    /// in an ascent or where the bound rose. The multicover/GUB solver
+    /// ([`crate::Scg`]) clamps the period to at most 1 for its ascents:
+    /// the constrained greedy is the only place those ascents find a
+    /// cover, and with sparser passes some feasible crew instances come
+    /// back with none, until a repair step for saturated GUB groups
+    /// lands.
     pub heuristic_period: usize,
     /// Record a per-iteration [`HistoryPoint`] trace (off by default; the
     /// trace is for convergence plots and diagnostics).
@@ -61,7 +73,7 @@ impl Default for SubgradientOptions {
             t_min: 5e-3,
             delta: 1e-4,
             occurrence_heuristic: false,
-            heuristic_period: 1,
+            heuristic_period: 20,
             record_history: false,
             trace_every: 1,
         }
@@ -131,6 +143,32 @@ pub(crate) fn lb_ceil_of(lb: f64) -> f64 {
 /// An infinite `best_cost` never certifies: `∞ ≤ ⌈LB⌉ + ε` is false.
 pub(crate) fn certified(integer_costs: bool, lb: f64, best_cost: f64) -> bool {
     integer_costs && lb.is_finite() && best_cost <= lb_ceil_of(lb) + 1e-9
+}
+
+/// When the loop runs its greedy and with which rule (see
+/// [`SubgradientOptions::heuristic_period`]).
+struct GreedySchedule {
+    period: usize,
+    /// Passes run so far: the rule rotates on this, not on the iteration,
+    /// so a period that is a multiple of 3 still uses all three rules.
+    passes: usize,
+}
+
+impl GreedySchedule {
+    fn new(period: usize) -> Self {
+        GreedySchedule { period, passes: 0 }
+    }
+
+    /// The rule of iteration `k`'s pass, or `None` when `k` runs none
+    /// (period 0 = off, even on a bound-improving iteration).
+    fn next(&mut self, k: usize, improved: bool) -> Option<GammaRule> {
+        if self.period == 0 || !(improved || k.is_multiple_of(self.period)) {
+            return None;
+        }
+        let rule = GammaRule::FAST[self.passes % GammaRule::FAST.len()];
+        self.passes += 1;
+        Some(rule)
+    }
 }
 
 /// Runs subgradient ascent on `a` under the constraint set `cons`.
@@ -251,6 +289,7 @@ pub(crate) fn ascent_impl<P: Probe>(
     let mut t = opts.t0;
     let mut since_improve = 0usize;
     let mut iterations = 0usize;
+    let mut schedule = GreedySchedule::new(opts.heuristic_period);
     let mut history: Vec<HistoryPoint> = Vec::new();
 
     let target_ub = |best_cost: f64, ub_ld: f64| -> f64 {
@@ -274,10 +313,8 @@ pub(crate) fn ascent_impl<P: Probe>(
             }
         }
 
-        // Auxiliary primal heuristic on the current Lagrangian costs
-        // (period 0 = off; `k % 0` would panic).
-        if opts.heuristic_period != 0 && k % opts.heuristic_period == 0 {
-            let rule = GammaRule::FAST[k % GammaRule::FAST.len()];
+        // Auxiliary primal heuristic on the current Lagrangian costs.
+        if let Some(rule) = schedule.next(k, improved) {
             let pass = match mctx {
                 None => greedy_pass(a, view, &ws.c_tilde, rule, &mut scratch),
                 Some(ctx) => greedy_pass_constrained(a, view, &ws.c_tilde, rule, ctx, &mut scratch),
@@ -468,6 +505,37 @@ mod tests {
         let sol = r.best_solution.expect("initial greedy still seeds");
         assert!(sol.is_feasible(&m));
         assert_eq!(r.best_cost, 4.0);
+    }
+
+    #[test]
+    fn greedy_schedule_runs_on_the_period_and_on_improvements() {
+        let mut every = GreedySchedule::new(1);
+        // Period 1 passes every iteration with the rule of index `k`.
+        for k in 0..7 {
+            assert_eq!(every.next(k, false), Some(GammaRule::FAST[k % 3]));
+        }
+        let mut off = GreedySchedule::new(0);
+        assert_eq!(off.next(0, true), None);
+
+        // Period 3 without improvements passes on k = 0, 3, 6, … and
+        // still cycles through all three rules (rotating on `k` would
+        // pick Linear every time).
+        let mut third = GreedySchedule::new(3);
+        let rules: Vec<(usize, GammaRule)> = (0..9)
+            .filter_map(|k| third.next(k, false).map(|r| (k, r)))
+            .collect();
+        assert_eq!(
+            rules,
+            vec![
+                (0, GammaRule::Linear),
+                (3, GammaRule::Log),
+                (6, GammaRule::LinearLog)
+            ]
+        );
+        // A bound-improving iteration off the period passes too, and
+        // takes the next rule in turn.
+        assert_eq!(third.next(10, true), Some(GammaRule::Linear));
+        assert_eq!(third.next(11, false), None);
     }
 
     #[test]

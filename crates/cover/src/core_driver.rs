@@ -6,7 +6,7 @@
 //! a fixpoint. What is left is the (possibly empty) cyclic core.
 
 use crate::halt::{Halt, HaltReason};
-use crate::implicit::{ImplicitMatrix, ReduceAbort, ReduceInterrupt};
+use crate::implicit::{canonical_rows, ImplicitMatrix, ReduceAbort, ReduceInterrupt};
 use crate::matrix::CoverMatrix;
 use crate::reduce::Reducer;
 use std::time::{Duration, Instant};
@@ -231,21 +231,23 @@ pub fn cyclic_core_halted<P: Probe>(
                 },
                 Err(e) => {
                     if opts.degrade {
-                        // The family never fit: rebuild explicitly from
-                        // the instance, skipping the implicit phase.
+                        // The family never fit: skip the implicit phase
+                        // and hand the explicit one the rows as a decode
+                        // would, so the degraded route reduces the same
+                        // matrix as the implicit one.
                         degraded = true;
                         probe.record(Event::Degraded {
                             reason: DegradeReason::NodeBudget,
                             phase: Phase::ImplicitReduction,
                         });
-                        Ok((m.clone(), Vec::new(), (0..m.num_cols()).collect()))
+                        Ok((canonical_rows(m), Vec::new(), (0..m.num_cols()).collect()))
                     } else {
                         Err(CoreAbort::Exhausted(e))
                     }
                 }
             }
         } else {
-            Ok((m.clone(), Vec::new(), (0..m.num_cols()).collect()))
+            Ok((canonical_rows(m), Vec::new(), (0..m.num_cols()).collect()))
         };
     let implicit_time = implicit_start.elapsed();
     probe.record(Event::PhaseEnd {

@@ -17,6 +17,7 @@
 
 use crate::halt::{Halt, HaltReason};
 use crate::matrix::CoverMatrix;
+use std::cmp::Reverse;
 use zdd::{NodeId, RootId, Var, Zdd, ZddOptions, ZddOverflow};
 
 /// Why a fallible implicit reduction stopped early.
@@ -438,6 +439,22 @@ impl ImplicitMatrix {
     }
 }
 
+/// The rows of `m` as [`ImplicitMatrix::decode`] would emit them, without
+/// building a ZDD: each row and the row list deduplicated, rows in the
+/// family's enumeration order (at the first differing position the row
+/// with the larger column comes first, and a prefix comes before its
+/// extensions). Columns and costs are `m`'s own, so this equals
+/// `encode(m).decode()` in original column indices. The explicit phase
+/// gets its input in this one form whichever route produced it, so a
+/// solve that skips the implicit phase reduces the same matrix.
+pub(crate) fn canonical_rows(m: &CoverMatrix) -> CoverMatrix {
+    // `CoverMatrix` keeps each row sorted and deduplicated.
+    let mut rows = m.rows().to_vec();
+    rows.sort_unstable_by(|a, b| a.iter().map(Reverse).cmp(b.iter().map(Reverse)));
+    rows.dedup();
+    CoverMatrix::with_costs(m.num_cols(), rows, m.costs().to_vec())
+}
+
 fn overflow_panic<T>(e: ZddOverflow) -> T {
     panic!("{e} during implicit reduction (use try_reduce_until_small to recover)")
 }
@@ -553,5 +570,67 @@ mod tests {
         let m = CoverMatrix::from_rows(2, vec![vec![], vec![0]]);
         let im = ImplicitMatrix::encode(&m);
         assert!(im.infeasible());
+    }
+}
+
+#[cfg(test)]
+mod canonical_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Rows of `m` in original column indices after an encode/decode
+    /// round trip through the ZDD.
+    fn decoded_rows(m: &CoverMatrix) -> Vec<Vec<usize>> {
+        let (dec, col_map) = ImplicitMatrix::encode(m).decode();
+        dec.rows()
+            .iter()
+            .map(|row| row.iter().map(|&j| col_map[j]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn canonical_order_puts_larger_columns_and_prefixes_first() {
+        let m = CoverMatrix::from_rows(
+            4,
+            vec![
+                vec![0, 1],
+                vec![0, 2],
+                vec![0, 1, 3],
+                vec![2, 3],
+                vec![0, 2],
+                vec![1],
+            ],
+        );
+        let c = canonical_rows(&m);
+        assert_eq!(
+            c.rows(),
+            [vec![2, 3], vec![1], vec![0, 2], vec![0, 1], vec![0, 1, 3]]
+        );
+        assert_eq!(c.rows(), decoded_rows(&m));
+    }
+
+    fn instance_strategy() -> impl Strategy<Value = CoverMatrix> {
+        (1usize..=8).prop_flat_map(|cols| {
+            let row = prop::collection::vec(0..cols, 0..=cols + 1);
+            let rows = prop::collection::vec(row, 0..=12);
+            let costs = prop::collection::vec(1u8..=4, cols);
+            (rows, costs).prop_map(move |(rows, costs)| {
+                CoverMatrix::with_costs(cols, rows, costs.into_iter().map(f64::from).collect())
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Duplicate columns in a row, duplicate rows, the empty row and
+        /// unused columns all included.
+        #[test]
+        fn canonical_rows_equal_the_decoded_family(m in instance_strategy()) {
+            let c = canonical_rows(&m);
+            prop_assert_eq!(c.rows(), decoded_rows(&m));
+            prop_assert_eq!(c.num_cols(), m.num_cols());
+            prop_assert_eq!(c.costs(), m.costs());
+        }
     }
 }

@@ -104,6 +104,18 @@ fn occurrence_rule_and_options_match_dense() {
         None,
         None,
     );
+    // The default schedule (every 20th and every bound-improving
+    // iteration) runs above; period 1 is the every-iteration greedy.
+    assert_equiv(
+        "period-1",
+        &m,
+        &SubgradientOptions {
+            heuristic_period: 1,
+            ..SubgradientOptions::default()
+        },
+        None,
+        None,
+    );
     assert_equiv(
         "period-3",
         &m,
