@@ -201,7 +201,12 @@ mod tests {
         let registry = Registry::new();
         let metrics = SolveMetrics::register(&registry);
         let m = cycle(9);
-        let out = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
+        // cycle(9) is within MaxR/MaxC, which skips the ZDD; MaxR = MaxC
+        // = 0 sends it through the implicit phase.
+        let mut opts = crate::ScgOptions::default();
+        opts.core.max_rows = 0;
+        opts.core.max_cols = 0;
+        let out = Scg::run(SolveRequest::for_matrix(&m).options(opts)).unwrap();
         metrics.record(&out);
 
         let text = registry.render_prometheus();

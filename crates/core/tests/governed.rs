@@ -17,6 +17,15 @@ fn cyclic(n: usize) -> cover::CoverMatrix {
     cover::CoverMatrix::from_rows(n, rows)
 }
 
+/// `cyclic(12)` is within MaxR/MaxC, which skips the ZDD; MaxR = MaxC = 0
+/// sends it through the implicit phase and its failpoint.
+fn implicit_options() -> ScgOptions {
+    let mut opts = ScgOptions::default();
+    opts.core.max_rows = 0;
+    opts.core.max_cols = 0;
+    opts
+}
+
 #[test]
 fn deadline_mid_implicit_expires_within_one_op_boundary() {
     let _scenario = FailScenario::setup();
@@ -25,7 +34,7 @@ fn deadline_mid_implicit_expires_within_one_op_boundary() {
     let started = Instant::now();
     let res = Scg::run(
         SolveRequest::for_matrix(&m)
-            .options(ScgOptions::default())
+            .options(implicit_options())
             .deadline(Duration::from_millis(30)),
     );
     let elapsed = started.elapsed();
@@ -54,7 +63,7 @@ fn cancel_mid_implicit_aborts_within_one_op_boundary() {
     let started = Instant::now();
     let res = Scg::run(
         SolveRequest::for_matrix(&m)
-            .options(ScgOptions::default())
+            .options(implicit_options())
             .cancel(&flag),
     );
     let elapsed = started.elapsed();

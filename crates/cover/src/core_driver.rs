@@ -1,9 +1,11 @@
-//! The cyclic-core driver: implicit phase, decode, explicit phase.
+//! The cyclic-core driver: merge, implicit phase, decode, explicit phase.
 //!
 //! This is the front half of `ZDD_SCG` (Fig. 2): run implicit reductions on
 //! the ZDD pair until they stabilise or the explicit size is manageable,
 //! decode into a sparse matrix, then run the classical explicit reductions to
-//! a fixpoint. What is left is the (possibly empty) cyclic core.
+//! a fixpoint. What is left is the (possibly empty) cyclic core. A matrix
+//! whose merged rows are manageable from the start skips the implicit
+//! phase: merging duplicate rows is all its encode and decode would do.
 
 use crate::halt::{Halt, HaltReason};
 use crate::implicit::{canonical_rows, ImplicitMatrix, ReduceAbort, ReduceInterrupt};
@@ -16,10 +18,14 @@ use zdd::ZddOverflow;
 /// Tunables for the cyclic-core computation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoreOptions {
-    /// `MaxR` of the paper: the implicit phase may stop once the explicit
-    /// row count is at most this.
+    /// `MaxR` of the paper: the implicit phase runs only while the row
+    /// family, duplicate rows merged, has more rows than this or more live
+    /// columns than `max_cols`. A matrix within both bounds from the start
+    /// goes straight to the explicit phase and builds no ZDD. `0` (with
+    /// `max_cols: 0`) runs the implicit phase to its fixpoint on any
+    /// nonempty family.
     pub max_rows: u128,
-    /// `MaxC` of the paper: companion bound on columns.
+    /// `MaxC` of the paper: the companion bound on live columns.
     pub max_cols: usize,
     /// Skip the implicit phase entirely (for ablation benchmarks).
     pub use_implicit: bool,
@@ -85,8 +91,6 @@ pub struct CoreResult {
     /// Columns fixed into the solution (original indices, essentials of all
     /// phases), sorted ascending.
     pub fixed_cols: Vec<usize>,
-    /// Original row index of each core row.
-    pub row_map: Vec<usize>,
     /// Original column index of each core column.
     pub col_map: Vec<usize>,
     /// Wall-clock time of the whole core computation (the `CC(s)` column of
@@ -96,8 +100,10 @@ pub struct CoreResult {
     pub implicit_time: Duration,
     /// Portion of `cc_time` spent in the explicit reduction phase.
     pub explicit_time: Duration,
-    /// Counters of the ZDD manager used by the implicit phase (all zero
-    /// when the implicit phase was skipped).
+    /// Counters of the ZDD manager used by the implicit phase. All zero
+    /// when no manager was built: the merged matrix was already within
+    /// `MaxR`/`MaxC`, `use_implicit` was off, or the encoding overflowed
+    /// its node budget.
     pub zdd_stats: zdd::ZddStats,
     /// `true` if some row cannot be covered at all.
     pub infeasible: bool,
@@ -157,13 +163,20 @@ pub fn cyclic_core_probed<P: Probe>(
 /// [`cyclic_core_probed`] with cooperative halting and graceful
 /// degradation.
 ///
+/// Duplicate rows are merged first, into the matrix a ZDD encode and
+/// decode would give. If that matrix is already within
+/// [`CoreOptions::max_rows`]/[`CoreOptions::max_cols`] (or
+/// [`CoreOptions::use_implicit`] is off), it goes straight to the explicit
+/// phase: no ZDD manager is built and no [`Event::ZddKernel`] is recorded.
+/// Otherwise the implicit phase reduces the ZDD row family until it fits.
+///
 /// The [`Halt`] is polled at every implicit-operation boundary, so a
 /// deadline or a cancellation stops the computation within one ZDD
 /// operation. If the kernel's node budget trips and
 /// [`CoreOptions::degrade`] is on, the partially-reduced family is
 /// salvaged (implicit reductions only shrink the family, so it is always
-/// enumerable) — or, when the encoding itself overflowed, the original
-/// matrix is used as-is — and the explicit phase takes over; exactly one
+/// enumerable) — or, when the encoding itself overflowed, the merged rows
+/// are used — and the explicit phase takes over; exactly one
 /// [`Event::Degraded`] is recorded per such fallback and the returned
 /// [`CoreResult::degraded`] flag is set.
 pub fn cyclic_core_halted<P: Probe>(
@@ -177,7 +190,6 @@ pub fn cyclic_core_halted<P: Probe>(
         return Ok(CoreResult {
             core: m.clone(),
             fixed_cols: Vec::new(),
-            row_map: (0..m.num_rows()).collect(),
             col_map: (0..m.num_cols()).collect(),
             cc_time: start.elapsed(),
             implicit_time: Duration::ZERO,
@@ -188,22 +200,26 @@ pub fn cyclic_core_halted<P: Probe>(
         });
     }
 
-    // Phase 1: implicit reductions on the ZDD row family.
+    // Phase 1: merge duplicate rows, then reduce implicitly on the ZDD row
+    // family only while the merged matrix exceeds MaxR/MaxC.
     probe.record(Event::PhaseBegin {
         phase: Phase::ImplicitReduction,
     });
     let implicit_start = Instant::now();
-    let mut zdd_stats = zdd::ZddStats::default();
+    let merged = canonical_rows(m);
+    let small =
+        merged.0.num_rows() as u128 <= opts.max_rows && merged.0.num_cols() <= opts.max_cols;
+    let mut zdd_stats = None;
     let mut degraded = false;
-    let implicit_outcome: Result<(CoverMatrix, Vec<usize>, Vec<usize>), CoreAbort> =
-        if opts.use_implicit {
-            match ImplicitMatrix::try_encode_with(m, opts.kernel) {
-                Ok(mut im) => match im.try_reduce_until_small(opts.max_rows, opts.max_cols, halt) {
-                    Ok(fixed) => {
-                        let (dec, col_map) = im.decode();
-                        zdd_stats = im.zdd_stats();
-                        Ok((dec, fixed, col_map))
-                    }
+    let implicit_outcome = if small || !opts.use_implicit {
+        Ok((merged, Vec::new()))
+    } else {
+        match ImplicitMatrix::try_encode_with(m, opts.kernel) {
+            Ok(mut im) => {
+                // Only an encode overflow falls back to the merged rows.
+                drop(merged);
+                let outcome = match im.try_reduce_until_small(opts.max_rows, opts.max_cols, halt) {
+                    Ok(fixed) => Ok((im.decode(), fixed)),
                     Err(ReduceAbort {
                         interrupt: ReduceInterrupt::Halted(reason),
                         ..
@@ -221,54 +237,50 @@ pub fn cyclic_core_halted<P: Probe>(
                                 reason: DegradeReason::NodeBudget,
                                 phase: Phase::ImplicitReduction,
                             });
-                            let (dec, col_map) = im.decode();
-                            zdd_stats = im.zdd_stats();
-                            Ok((dec, fixed, col_map))
+                            Ok((im.decode(), fixed))
                         } else {
                             Err(CoreAbort::Exhausted(e))
                         }
                     }
-                },
-                Err(e) => {
-                    if opts.degrade {
-                        // The family never fit: skip the implicit phase
-                        // and hand the explicit one the rows as a decode
-                        // would, so the degraded route reduces the same
-                        // matrix as the implicit one.
-                        degraded = true;
-                        probe.record(Event::Degraded {
-                            reason: DegradeReason::NodeBudget,
-                            phase: Phase::ImplicitReduction,
-                        });
-                        Ok((canonical_rows(m), Vec::new(), (0..m.num_cols()).collect()))
-                    } else {
-                        Err(CoreAbort::Exhausted(e))
-                    }
+                };
+                zdd_stats = Some(im.zdd_stats());
+                outcome
+            }
+            Err(e) => {
+                if opts.degrade {
+                    // The family never fit: skip the implicit phase
+                    // and hand the explicit one the merged rows, which
+                    // are what a decode would have emitted.
+                    degraded = true;
+                    probe.record(Event::Degraded {
+                        reason: DegradeReason::NodeBudget,
+                        phase: Phase::ImplicitReduction,
+                    });
+                    Ok((merged, Vec::new()))
+                } else {
+                    Err(CoreAbort::Exhausted(e))
                 }
             }
-        } else {
-            Ok((canonical_rows(m), Vec::new(), (0..m.num_cols()).collect()))
-        };
+        }
+    };
     let implicit_time = implicit_start.elapsed();
     probe.record(Event::PhaseEnd {
         phase: Phase::ImplicitReduction,
         seconds: implicit_time.as_secs_f64(),
     });
-    let (explicit, implicit_fixed, col_map_a) = implicit_outcome?;
-    if opts.use_implicit {
+    let ((explicit, col_map_a), implicit_fixed) = implicit_outcome?;
+    if let Some(z) = &zdd_stats {
         probe.record(Event::ZddKernel {
-            cache_hits: zdd_stats.cache_hits,
-            cache_misses: zdd_stats.cache_misses,
-            cache_evictions: zdd_stats.cache_evictions,
-            unique_relocations: zdd_stats.unique_relocations,
-            peak_nodes: zdd_stats.peak_nodes as u64,
-            live_nodes: zdd_stats.live_nodes as u64,
-            gc_runs: zdd_stats.gc_runs,
-            gc_reclaimed: zdd_stats.gc_reclaimed,
-            gc_pause_nanos: u64::try_from(zdd_stats.gc_pause.total().as_nanos())
-                .unwrap_or(u64::MAX),
-            gc_max_pause_nanos: u64::try_from(zdd_stats.gc_pause.max().as_nanos())
-                .unwrap_or(u64::MAX),
+            cache_hits: z.cache_hits,
+            cache_misses: z.cache_misses,
+            cache_evictions: z.cache_evictions,
+            unique_relocations: z.unique_relocations,
+            peak_nodes: z.peak_nodes as u64,
+            live_nodes: z.live_nodes as u64,
+            gc_runs: z.gc_runs,
+            gc_reclaimed: z.gc_reclaimed,
+            gc_pause_nanos: u64::try_from(z.gc_pause.total().as_nanos()).unwrap_or(u64::MAX),
+            gc_max_pause_nanos: u64::try_from(z.gc_pause.max().as_nanos()).unwrap_or(u64::MAX),
         });
     }
 
@@ -283,7 +295,7 @@ pub fn cyclic_core_halted<P: Probe>(
     let mut red = Reducer::new(&explicit);
     red.reduce_to_fixpoint();
     let infeasible = red.infeasible();
-    let (core, row_map_b, col_map_b) = red.extract_core();
+    let (core, _, col_map_b) = red.extract_core();
 
     // Compose maps back to original indices.
     let mut fixed_cols = implicit_fixed;
@@ -291,10 +303,6 @@ pub fn cyclic_core_halted<P: Probe>(
     fixed_cols.sort_unstable();
     fixed_cols.dedup();
     let col_map: Vec<usize> = col_map_b.iter().map(|&j| col_map_a[j]).collect();
-
-    // Row provenance: the implicit phase permutes/merges rows, so core rows
-    // are matched back to original rows by content when possible.
-    let row_map = match_rows(m, &core, &col_map, &row_map_b);
     let explicit_time = explicit_start.elapsed();
     probe.record(Event::PhaseEnd {
         phase: Phase::ExplicitReduction,
@@ -304,42 +312,14 @@ pub fn cyclic_core_halted<P: Probe>(
     Ok(CoreResult {
         core,
         fixed_cols,
-        row_map,
         col_map,
         cc_time: start.elapsed(),
         implicit_time,
         explicit_time,
-        zdd_stats,
+        zdd_stats: zdd_stats.unwrap_or_default(),
         infeasible,
         degraded,
     })
-}
-
-/// Best-effort mapping of core rows to original row indices by content.
-fn match_rows(
-    original: &CoverMatrix,
-    core: &CoverMatrix,
-    col_map: &[usize],
-    fallback: &[usize],
-) -> Vec<usize> {
-    use std::collections::HashMap;
-    let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
-    for (i, row) in original.rows().iter().enumerate() {
-        index.entry(row.clone()).or_insert(i);
-    }
-    (0..core.num_rows())
-        .map(|i| {
-            let orig_cols: Vec<usize> = {
-                let mut v: Vec<usize> = core.row(i).iter().map(|&j| col_map[j]).collect();
-                v.sort_unstable();
-                v
-            };
-            index
-                .get(&orig_cols)
-                .copied()
-                .unwrap_or_else(|| fallback.get(i).copied().unwrap_or(i))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -380,7 +360,7 @@ mod tests {
                 vec![1, 5],
             ],
         );
-        let with = cyclic_core(&m, &CoreOptions::default());
+        let with = cyclic_core(&m, &implicit());
         let without = cyclic_core(
             &m,
             &CoreOptions {
@@ -401,6 +381,15 @@ mod tests {
         assert!(!res.is_solved());
     }
 
+    /// MaxR = MaxC = 0: the implicit phase runs even on a small matrix.
+    fn implicit() -> CoreOptions {
+        CoreOptions {
+            max_rows: 0,
+            max_cols: 0,
+            ..CoreOptions::default()
+        }
+    }
+
     fn hard_instance() -> CoverMatrix {
         // A cyclic instance plus chords: enough structure that encoding
         // and reducing need well over 16 nodes.
@@ -417,7 +406,7 @@ mod tests {
         let m = hard_instance();
         let tiny = CoreOptions {
             kernel: zdd::ZddOptions::new().node_budget(16),
-            ..CoreOptions::default()
+            ..implicit()
         };
         let mut probe = RecordingProbe::new();
         let res = cyclic_core_halted(&m, &tiny, &Halt::none(), &mut probe)
@@ -449,7 +438,7 @@ mod tests {
         let opts = CoreOptions {
             kernel: zdd::ZddOptions::new().node_budget(16),
             degrade: false,
-            ..CoreOptions::default()
+            ..implicit()
         };
         let err = cyclic_core_halted(&m, &opts, &Halt::none(), &mut NoopProbe).unwrap_err();
         assert!(matches!(err, CoreAbort::Exhausted(_)), "{err}");
@@ -469,26 +458,32 @@ mod tests {
             deadline: None,
             cancel: Some(flag),
         };
-        let err =
-            cyclic_core_halted(&m, &CoreOptions::default(), &halt, &mut NoopProbe).unwrap_err();
+        let err = cyclic_core_halted(&m, &implicit(), &halt, &mut NoopProbe).unwrap_err();
         assert_eq!(err, CoreAbort::Halted(HaltReason::Cancelled));
     }
 
     #[test]
-    fn row_map_points_to_original_rows() {
-        let m = CoverMatrix::from_rows(
-            5,
-            vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-        );
-        let res = cyclic_core(&m, &CoreOptions::default());
-        for (core_i, &orig_i) in res.row_map.iter().enumerate() {
-            let orig_cols: Vec<usize> = res
-                .core
-                .row(core_i)
-                .iter()
-                .map(|&j| res.col_map[j])
-                .collect();
-            assert_eq!(orig_cols, m.row(orig_i));
-        }
+    fn small_matrix_builds_no_zdd_under_any_budget() {
+        use ucp_telemetry::RecordingProbe;
+        let m = hard_instance();
+        let starved = CoreOptions {
+            kernel: zdd::ZddOptions::new().node_budget(16),
+            degrade: false,
+            ..CoreOptions::default()
+        };
+        let mut probe = RecordingProbe::new();
+        let res = cyclic_core_halted(&m, &starved, &Halt::none(), &mut probe)
+            .expect("a matrix within MaxR/MaxC never touches the budget");
+        assert!(!res.degraded);
+        assert_eq!(res.zdd_stats, zdd::ZddStats::default());
+        assert!(!probe
+            .events()
+            .iter()
+            .any(|e| matches!(e.event, Event::ZddKernel { .. } | Event::Degraded { .. })));
+        // The same core as the implicit route.
+        let implicit = cyclic_core(&m, &implicit());
+        assert_eq!(res.fixed_cols, implicit.fixed_cols);
+        assert_eq!(res.core, implicit.core);
+        assert_eq!(res.col_map, implicit.col_map);
     }
 }

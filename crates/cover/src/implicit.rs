@@ -18,6 +18,7 @@
 use crate::halt::{Halt, HaltReason};
 use crate::matrix::CoverMatrix;
 use std::cmp::Reverse;
+use std::collections::HashSet;
 use zdd::{NodeId, RootId, Var, Zdd, ZddOptions, ZddOverflow};
 
 /// Why a fallible implicit reduction stopped early.
@@ -83,7 +84,6 @@ pub struct ImplicitMatrix {
     /// reclaim every intermediate family while keeping the matrix alive.
     root: RootId,
     costs: Vec<f64>,
-    num_cols: usize,
 }
 
 impl ImplicitMatrix {
@@ -122,7 +122,6 @@ impl ImplicitMatrix {
             rows,
             root,
             costs: m.costs().to_vec(),
-            num_cols: m.num_cols(),
         })
     }
 
@@ -412,19 +411,12 @@ impl ImplicitMatrix {
     /// Returns `(matrix, col_map)` where `col_map[j']` is the original index
     /// of decoded column `j'`. Rows come out in enumeration order.
     pub fn decode(&self) -> (CoverMatrix, Vec<usize>) {
-        let col_map = self.live_cols();
-        let mut col_inv = vec![usize::MAX; self.num_cols];
-        for (new, &old) in col_map.iter().enumerate() {
-            col_inv[old] = new;
-        }
-        let rows: Vec<Vec<usize>> = self
-            .zdd
-            .to_sets(self.rows)
-            .into_iter()
-            .map(|s| s.into_iter().map(|v| col_inv[v.index()]).collect())
-            .collect();
-        let costs: Vec<f64> = col_map.iter().map(|&j| self.costs[j]).collect();
-        (CoverMatrix::with_costs(col_map.len(), rows, costs), col_map)
+        let rows = self.zdd.to_sets(self.rows);
+        compact(
+            self.live_cols(),
+            &self.costs,
+            rows.iter().map(|s| s.iter().map(|v| v.index())),
+        )
     }
 
     /// Returns `true` if the family is empty (every row covered).
@@ -439,20 +431,49 @@ impl ImplicitMatrix {
     }
 }
 
-/// The rows of `m` as [`ImplicitMatrix::decode`] would emit them, without
-/// building a ZDD: each row and the row list deduplicated, rows in the
-/// family's enumeration order (at the first differing position the row
-/// with the larger column comes first, and a prefix comes before its
-/// extensions). Columns and costs are `m`'s own, so this equals
-/// `encode(m).decode()` in original column indices. The explicit phase
-/// gets its input in this one form whichever route produced it, so a
-/// solve that skips the implicit phase reduces the same matrix.
-pub(crate) fn canonical_rows(m: &CoverMatrix) -> CoverMatrix {
-    // `CoverMatrix` keeps each row sorted and deduplicated.
-    let mut rows = m.rows().to_vec();
+/// Merges the duplicate rows of `m` without building a ZDD: the same
+/// `(matrix, col_map)` as `ImplicitMatrix::encode(m).decode()`. Distinct
+/// rows come in the family's enumeration order (at the first differing
+/// position the row with the larger column comes first, and a prefix
+/// comes before its extensions), and the columns are compacted to those
+/// occurring in some row. The explicit phase gets its input in this one
+/// form whichever route produced it, so a solve that skips the implicit
+/// phase reduces the same matrix.
+pub(crate) fn canonical_rows(m: &CoverMatrix) -> (CoverMatrix, Vec<usize>) {
+    // `CoverMatrix` keeps each row sorted and deduplicated, so equal rows
+    // are equal slices. Rows can come from outside the program, so they
+    // keep std's collision-resistant hasher.
+    let distinct: HashSet<&[usize]> = m.rows().iter().map(Vec::as_slice).collect();
+    let mut rows: Vec<&[usize]> = distinct.into_iter().collect();
     rows.sort_unstable_by(|a, b| a.iter().map(Reverse).cmp(b.iter().map(Reverse)));
-    rows.dedup();
-    CoverMatrix::with_costs(m.num_cols(), rows, m.costs().to_vec())
+    let mut live = vec![false; m.num_cols()];
+    for &j in rows.iter().copied().flatten() {
+        live[j] = true;
+    }
+    let col_map = (0..m.num_cols()).filter(|&j| live[j]).collect();
+    compact(
+        col_map,
+        m.costs(),
+        rows.into_iter().map(|r| r.iter().copied()),
+    )
+}
+
+/// The matrix over the live columns `col_map` (ascending original
+/// indices) with `rows` given in original indices, and `col_map` itself.
+fn compact<R: IntoIterator<Item = usize>>(
+    col_map: Vec<usize>,
+    costs: &[f64],
+    rows: impl Iterator<Item = R>,
+) -> (CoverMatrix, Vec<usize>) {
+    let mut col_inv = vec![usize::MAX; costs.len()];
+    for (new, &old) in col_map.iter().enumerate() {
+        col_inv[old] = new;
+    }
+    let rows = rows
+        .map(|row| row.into_iter().map(|j| col_inv[j]).collect())
+        .collect();
+    let costs = col_map.iter().map(|&j| costs[j]).collect();
+    (CoverMatrix::with_costs(col_map.len(), rows, costs), col_map)
 }
 
 fn overflow_panic<T>(e: ZddOverflow) -> T {
@@ -578,16 +599,6 @@ mod canonical_tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Rows of `m` in original column indices after an encode/decode
-    /// round trip through the ZDD.
-    fn decoded_rows(m: &CoverMatrix) -> Vec<Vec<usize>> {
-        let (dec, col_map) = ImplicitMatrix::encode(m).decode();
-        dec.rows()
-            .iter()
-            .map(|row| row.iter().map(|&j| col_map[j]).collect())
-            .collect()
-    }
-
     #[test]
     fn canonical_order_puts_larger_columns_and_prefixes_first() {
         let m = CoverMatrix::from_rows(
@@ -601,12 +612,13 @@ mod canonical_tests {
                 vec![1],
             ],
         );
-        let c = canonical_rows(&m);
+        let (c, col_map) = canonical_rows(&m);
         assert_eq!(
             c.rows(),
             [vec![2, 3], vec![1], vec![0, 2], vec![0, 1], vec![0, 1, 3]]
         );
-        assert_eq!(c.rows(), decoded_rows(&m));
+        assert_eq!(col_map, [0, 1, 2, 3]);
+        assert_eq!((c, col_map), ImplicitMatrix::encode(&m).decode());
     }
 
     fn instance_strategy() -> impl Strategy<Value = CoverMatrix> {
@@ -624,13 +636,11 @@ mod canonical_tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Duplicate columns in a row, duplicate rows, the empty row and
-        /// unused columns all included.
+        /// unused columns all included: rows, compacted columns, their
+        /// costs and the column map all equal the ZDD round trip's.
         #[test]
         fn canonical_rows_equal_the_decoded_family(m in instance_strategy()) {
-            let c = canonical_rows(&m);
-            prop_assert_eq!(c.rows(), decoded_rows(&m));
-            prop_assert_eq!(c.num_cols(), m.num_cols());
-            prop_assert_eq!(c.costs(), m.costs());
+            prop_assert_eq!(canonical_rows(&m), ImplicitMatrix::encode(&m).decode());
         }
     }
 }

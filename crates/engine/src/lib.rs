@@ -1134,7 +1134,11 @@ mod tests {
         explicit.core.use_implicit = false;
         let baseline =
             Scg::run(SolveRequest::for_shared(Arc::clone(&m)).options(explicit)).unwrap();
+        // The matrix is within MaxR/MaxC, which skips the ZDD; MaxR =
+        // MaxC = 0 sends it through the implicit phase.
         let mut starved = ucp_core::ScgOptions::default();
+        starved.core.max_rows = 0;
+        starved.core.max_cols = 0;
         starved.core.degrade = false;
         starved.core.kernel = starved.core.kernel.node_budget(16);
         let job = engine

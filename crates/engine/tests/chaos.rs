@@ -47,10 +47,14 @@ fn mixed_chaos_batch_reconciles_exactly() {
 
     let plain_m = Arc::new(cycle(9));
     let hard_m = Arc::new(hard_matrix());
-    let opts = ScgOptions {
+    let mut opts = ScgOptions {
         num_iter: 20,
         ..ScgOptions::default()
     };
+    // Both matrices are within MaxR/MaxC, which skips the ZDD; MaxR =
+    // MaxC = 0 sends them through the implicit phase and its failpoint.
+    opts.core.max_rows = 0;
+    opts.core.max_cols = 0;
     let mut starved = opts;
     starved.core.degrade = false;
     starved.core.kernel = starved.core.kernel.node_budget(16);

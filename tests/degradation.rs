@@ -16,7 +16,11 @@ fn starved_budget_degrades_without_changing_the_cost() {
         let unbudgeted =
             Scg::run(SolveRequest::for_matrix(&inst.matrix).options(base)).expect("no cancel flag");
 
+        // The difficult cores are within MaxR/MaxC, which skips the ZDD;
+        // MaxR = MaxC = 0 sends them through the implicit phase.
         let mut starved = base;
+        starved.core.max_rows = 0;
+        starved.core.max_cols = 0;
         starved.core.kernel = starved.core.kernel.node_budget(16);
         let mut probe = RecordingProbe::new();
         let out = Scg::run(
