@@ -13,7 +13,7 @@
 //! instance name to trace that instance instead of `bench1`. An unknown
 //! experiment or instance name exits 2 with the usage text.
 
-use cover::{CoreOptions, CoverMatrix};
+use cover::CoverMatrix;
 use lp::DenseLp;
 use solvers::{incremental_mis_bound, EspressoMode, IncrementalOptions};
 use std::cmp::Ordering;
@@ -446,9 +446,8 @@ fn bounds_sweep() -> Outcome {
 }
 
 /// Ablations over `DESIGN.md`'s design choices: the rating weight `α`, the
-/// restart count `NumIter`, the dual-penalty budget, the implicit
-/// reduction phase and the subgradient length, each over the whole
-/// difficult cyclic suite.
+/// restart count `NumIter`, the dual-penalty budget and the subgradient
+/// length, each over the whole difficult cyclic suite.
 fn ablation() -> Outcome {
     let base = ScgOptions::default();
     let mut configs = vec![("baseline (α=2, NumIter=4, DualPen=100)".to_string(), base)];
@@ -465,16 +464,6 @@ fn ablation() -> Outcome {
         "dual penalties off".into(),
         ScgOptions {
             dual_pen_limit: 0,
-            ..base
-        },
-    ));
-    configs.push((
-        "implicit phase off".into(),
-        ScgOptions {
-            core: CoreOptions {
-                use_implicit: false,
-                ..CoreOptions::default()
-            },
             ..base
         },
     ));

@@ -27,9 +27,7 @@ use crate::checkpoint::SolverCheckpoint;
 use crate::restart::CoreBudget;
 use crate::scg::{Scg, ScgOptions, ScgOutcome};
 use crate::subgradient::SubgradientOptions;
-use cover::{
-    ConstraintError, Constraints, CoreOptions, CoverMatrix, GubGroup, ZddOptions, ZddOverflow,
-};
+use cover::{ConstraintError, Constraints, CoreOptions, CoverMatrix, GubGroup, ZddOptions};
 use std::sync::Arc;
 use std::time::Duration;
 use ucp_telemetry::{Event, NoopProbe, Probe};
@@ -154,6 +152,10 @@ impl std::str::FromStr for Preset {
 }
 
 /// Why [`Scg::run`] returned no outcome.
+///
+/// A ZDD node budget is not among the reasons: a solve that exhausts it
+/// falls back to the explicit reductions and reports
+/// [`ScgOutcome::degraded`](crate::ScgOutcome) instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolveError {
@@ -165,12 +167,6 @@ pub enum SolveError {
     /// (A deadline reached *after* reduction degrades gracefully instead:
     /// the restarts stop and the best cover so far is returned.)
     Expired,
-    /// The ZDD kernel's node budget was exhausted with degradation
-    /// disabled ([`cover::CoreOptions::degrade`] `= false`). With the
-    /// default options this cannot happen: the solve falls back to the
-    /// explicit representation and reports
-    /// [`ScgOutcome::degraded`](crate::ScgOutcome) instead.
-    ResourceExhausted(ZddOverflow),
     /// The request's [`Constraints`] do not fit the instance — a
     /// malformed coverage vector or group set, or a demand no column
     /// subset can meet. Caught before any solving starts; the carried
@@ -183,7 +179,6 @@ impl std::fmt::Display for SolveError {
         match self {
             SolveError::Cancelled => f.write_str("solve cancelled"),
             SolveError::Expired => f.write_str("solve deadline expired before a cover was found"),
-            SolveError::ResourceExhausted(_) => f.write_str("solve exhausted its resource budget"),
             SolveError::InvalidConstraints(_) => {
                 f.write_str("solve constraints do not fit the instance")
             }
@@ -194,7 +189,6 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SolveError::ResourceExhausted(e) => Some(e),
             SolveError::InvalidConstraints(e) => Some(e),
             SolveError::Cancelled | SolveError::Expired => None,
         }
@@ -204,12 +198,6 @@ impl std::error::Error for SolveError {
 impl From<ConstraintError> for SolveError {
     fn from(e: ConstraintError) -> Self {
         SolveError::InvalidConstraints(e)
-    }
-}
-
-impl From<ZddOverflow> for SolveError {
-    fn from(e: ZddOverflow) -> Self {
-        SolveError::ResourceExhausted(e)
     }
 }
 
@@ -608,10 +596,12 @@ impl Scg {
     ///   [`CancelFlag`] that tripped before or during the solve.
     /// * [`SolveError::Expired`] when the deadline passed before the
     ///   reduction stage produced anything to return.
-    /// * [`SolveError::ResourceExhausted`] when the kernel's node budget
-    ///   tripped with [`cover::CoreOptions::degrade`] disabled.
+    /// * [`SolveError::InvalidConstraints`] when the request's
+    ///   constraints do not fit the instance.
     ///
-    /// A request without a flag, deadline or node budget cannot fail.
+    /// An exhausted node budget is not an error: the solve falls back to
+    /// the explicit reductions and sets [`ScgOutcome::degraded`]. A
+    /// request without a flag, deadline or constraints cannot fail.
     ///
     /// # Example
     ///

@@ -39,8 +39,8 @@ use crate::subgradient::{
     ascent_impl, certified, lb_ceil_of, SubgradientOptions, SubgradientResult,
 };
 use cover::{
-    cyclic_core_halted, Constraints, CoreAbort, CoreOptions, CoreResult, CoverMatrix, Halt,
-    HaltReason, Reducer, Solution,
+    cyclic_core_halted, Constraints, CoreOptions, CoreResult, CoverMatrix, Halt, HaltReason,
+    Reducer, Solution,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,7 +51,7 @@ use ucp_telemetry::{Event, FixReason, PenaltyKind, Phase, PhaseTimes, Probe};
 /// published values where given.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScgOptions {
-    /// Cyclic-core computation options (`MaxR`, `MaxC`, implicit on/off).
+    /// Cyclic-core computation options (`MaxR`, `MaxC`, ZDD kernel).
     pub core: CoreOptions,
     /// Subgradient-phase tunables.
     pub subgradient: SubgradientOptions,
@@ -164,7 +164,7 @@ pub struct ScgOutcome {
     /// add up to the same numbers.
     pub phase_times: PhaseTimes,
     /// ZDD manager counters from the implicit reduction phase (all zero
-    /// when the implicit phase was disabled). The reduce stage runs once
+    /// when the merged matrix was within `MaxR`/`MaxC` and built no ZDD). The reduce stage runs once
     /// per solve, so these are independent of the worker count.
     pub zdd_stats: cover::ZddStats,
     /// `true` when the implicit phase exhausted its node budget and the
@@ -368,12 +368,7 @@ impl Scg {
             None
         } else {
             let core_res =
-                cyclic_core_halted(m, &self.opts.core, &halt, &mut *probe).map_err(|abort| {
-                    match abort {
-                        CoreAbort::Halted(reason) => halted(reason),
-                        CoreAbort::Exhausted(e) => SolveError::ResourceExhausted(e),
-                    }
-                })?;
+                cyclic_core_halted(m, &self.opts.core, &halt, &mut *probe).map_err(halted)?;
             phases.add(
                 Phase::ImplicitReduction,
                 core_res.implicit_time.as_secs_f64(),

@@ -109,7 +109,9 @@ pub enum WireCode {
     Expired,
     /// The solve panicked; the job is isolated and the engine healthy.
     Panicked,
-    /// The ZDD node budget was exhausted, degraded retry included.
+    /// The ZDD node budget was exhausted. No error maps here any more:
+    /// an exhausted budget degrades in-process. The code stays so that
+    /// journals written before that still decode.
     ResourceExhausted,
     /// The instance has a row no column covers.
     Infeasible,
@@ -193,7 +195,6 @@ impl SolveError {
         match self {
             SolveError::Cancelled => WireCode::Cancelled,
             SolveError::Expired => WireCode::Expired,
-            SolveError::ResourceExhausted(_) => WireCode::ResourceExhausted,
             SolveError::InvalidConstraints(_) => WireCode::UnsupportedConstraints,
         }
     }
@@ -307,10 +308,6 @@ pub struct JobSpec {
     pub alpha: Option<f64>,
     /// Subgradient iteration-cap override.
     pub max_ascent_iters: Option<usize>,
-    /// Enable/disable the implicit (ZDD) reduction phase.
-    pub use_implicit: Option<bool>,
-    /// On node-budget exhaustion: degrade to explicit (`true`) or fail.
-    pub degrade: Option<bool>,
     /// Apply the partitioning reduction.
     pub partition: Option<bool>,
     /// Per-row coverage requirements `b_i` (set multicover). Absent =
@@ -361,12 +358,6 @@ impl JobSpec {
         }
         if let Some(n) = self.max_ascent_iters {
             opts.subgradient.max_iters = n;
-        }
-        if let Some(b) = self.use_implicit {
-            opts.core.use_implicit = b;
-        }
-        if let Some(b) = self.degrade {
-            opts.core.degrade = b;
         }
         if let Some(b) = self.partition {
             opts.partition = b;
@@ -497,8 +488,6 @@ impl JobSpec {
             best_col_growth: Some(opts.best_col_growth),
             alpha: Some(opts.alpha),
             max_ascent_iters: Some(opts.subgradient.max_iters),
-            use_implicit: Some(opts.core.use_implicit),
-            degrade: Some(opts.core.degrade),
             partition: Some(opts.partition),
             // Constraints are not options; from_request copies them.
             coverage: None,
@@ -548,12 +537,6 @@ impl JobSpec {
         if let Some(v) = self.max_ascent_iters {
             o.field_u64("max_ascent_iters", v as u64);
         }
-        if let Some(v) = self.use_implicit {
-            o.field_bool("use_implicit", v);
-        }
-        if let Some(v) = self.degrade {
-            o.field_bool("degrade", v);
-        }
         if let Some(v) = self.partition {
             o.field_bool("partition", v);
         }
@@ -569,6 +552,10 @@ impl JobSpec {
     /// Parses a spec object. Unknown fields are refused (a typo'd knob
     /// silently ignored would be a debugging trap), as are non-integral
     /// or out-of-range numbers.
+    ///
+    /// The retired boolean keys `use_implicit` and `degrade` are accepted
+    /// and ignored: older journals carry them in every `Submitted`
+    /// record, and input size now picks the reduction route.
     pub fn from_json_value(v: &JsonValue) -> Result<JobSpec, WireError> {
         let JsonValue::Obj(members) = v else {
             return Err(WireError::invalid("spec must be a JSON object"));
@@ -604,8 +591,9 @@ impl JobSpec {
                 "max_ascent_iters" => {
                     spec.max_ascent_iters = Some(as_usize(value, "max_ascent_iters")?);
                 }
-                "use_implicit" => spec.use_implicit = Some(as_bool(value, "use_implicit")?),
-                "degrade" => spec.degrade = Some(as_bool(value, "degrade")?),
+                "use_implicit" | "degrade" => {
+                    as_bool(value, key)?;
+                }
                 "partition" => spec.partition = Some(as_bool(value, "partition")?),
                 "coverage" => spec.coverage = Some(coverage_from_json(value)?),
                 "gub_groups" => spec.gub_groups = Some(gub_groups_from_json(value)?),
@@ -1205,8 +1193,6 @@ mod tests {
         rich.best_col_growth = Some(3);
         rich.alpha = Some(1.5);
         rich.max_ascent_iters = Some(77);
-        rich.use_implicit = Some(false);
-        rich.degrade = Some(false);
         rich.partition = Some(false);
         specs.push(rich);
         let mut partial = JobSpec::new(Preset::Paper);
@@ -1253,8 +1239,6 @@ mod tests {
         spec.best_col_growth = Some(4);
         spec.alpha = Some(2.5);
         spec.max_ascent_iters = Some(123);
-        spec.use_implicit = Some(true);
-        spec.degrade = Some(true);
         spec.partition = Some(true);
         let r = JobSpec::from_options(&spec.options()).unwrap();
         assert_eq!(r.preset, Preset::Thorough);
@@ -1267,8 +1251,6 @@ mod tests {
         assert_eq!(r.best_col_growth, Some(4));
         assert_eq!(r.alpha, Some(2.5));
         assert_eq!(r.max_ascent_iters, Some(123));
-        assert_eq!(r.use_implicit, Some(true));
-        assert_eq!(r.degrade, Some(true));
         assert_eq!(r.partition, Some(true));
     }
 
@@ -1286,6 +1268,28 @@ mod tests {
         let err = JobSpec::parse(r#"{"preset":"fast","warp_factor":9}"#).unwrap_err();
         assert_eq!(err.code, WireCode::InvalidSpec);
         assert!(err.message.contains("warp_factor"), "{err}");
+        // Only the two retired keys are let through, not their neighbours.
+        for key in ["implicit", "use_implicit_phase", "degraded", "Degrade"] {
+            let err = JobSpec::parse(&format!(r#"{{"{key}":false}}"#)).unwrap_err();
+            assert_eq!(err.code, WireCode::InvalidSpec, "{key}");
+            assert!(err.message.contains(key), "{err}");
+        }
+    }
+
+    #[test]
+    fn retired_implicit_keys_are_accepted_and_ignored() {
+        // The canonical Paper spec exactly as `to_json` wrote it while
+        // `use_implicit` and `degrade` were options, and as it writes it
+        // now.
+        let legacy = r#"{"preset":"paper","workers":0,"seed":3665698816,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"use_implicit":false,"degrade":false,"partition":true}"#;
+        let current = r#"{"preset":"paper","workers":0,"seed":3665698816,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"partition":true}"#;
+        let spec = JobSpec::parse(legacy).unwrap();
+        assert_eq!(spec, JobSpec::parse(current).unwrap());
+        assert_eq!(spec.to_json(), current);
+        assert_eq!(spec.options(), Preset::Paper.options());
+        // A retired key must still hold a boolean.
+        let err = JobSpec::parse(r#"{"degrade":"no"}"#).unwrap_err();
+        assert_eq!(err.code, WireCode::InvalidSpec);
     }
 
     #[test]
@@ -1450,16 +1454,8 @@ mod tests {
 
     #[test]
     fn solve_errors_map_into_the_taxonomy() {
-        let overflow = crate::ZddOverflow {
-            budget: 16,
-            live: 17,
-        };
         assert_eq!(SolveError::Cancelled.wire_code(), WireCode::Cancelled);
         assert_eq!(SolveError::Expired.wire_code(), WireCode::Expired);
-        assert_eq!(
-            SolveError::ResourceExhausted(overflow).wire_code(),
-            WireCode::ResourceExhausted
-        );
         assert_eq!(
             SolveError::InvalidConstraints(cover::ConstraintError::ZeroCoverage { row: 0 })
                 .wire_code(),

@@ -13,9 +13,15 @@ use crate::matrix::CoverMatrix;
 use crate::reduce::Reducer;
 use std::time::{Duration, Instant};
 use ucp_telemetry::{DegradeReason, Event, NoopProbe, Phase, Probe};
-use zdd::ZddOverflow;
 
 /// Tunables for the cyclic-core computation.
+///
+/// Input size alone picks the route: a matrix whose merged rows fit
+/// `max_rows`/`max_cols` goes straight to the explicit reductions, a
+/// larger one runs the implicit (ZDD) phase first. When that phase
+/// exhausts `kernel`'s node budget, the computation always falls back to
+/// the explicit reductions in-process and reports
+/// [`CoreResult::degraded`]; there is no failing mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoreOptions {
     /// `MaxR` of the paper: the implicit phase runs only while the row
@@ -27,18 +33,10 @@ pub struct CoreOptions {
     pub max_rows: u128,
     /// `MaxC` of the paper: the companion bound on live columns.
     pub max_cols: usize,
-    /// Skip the implicit phase entirely (for ablation benchmarks).
-    pub use_implicit: bool,
-    /// When the implicit phase exhausts the kernel's node budget, fall
-    /// back to the explicit representation (salvaging whatever the
-    /// implicit reductions achieved) instead of failing. Default `true`;
-    /// with `false`, [`cyclic_core_halted`] reports
-    /// [`CoreAbort::Exhausted`] and the infallible entry points panic.
-    pub degrade: bool,
     /// ZDD kernel tunables (table/cache sizing, GC schedule, node budget)
     /// for the implicit phase's manager. Kernel settings never change
-    /// results, only speed and memory — unless a node budget trips, in
-    /// which case `degrade` decides what happens.
+    /// results, only speed and memory. A node budget that trips sends
+    /// the computation to the explicit reductions, with the same core.
     pub kernel: zdd::ZddOptions,
 }
 
@@ -48,37 +46,7 @@ impl Default for CoreOptions {
         CoreOptions {
             max_rows: 5000,
             max_cols: 10_000,
-            use_implicit: true,
-            degrade: true,
             kernel: zdd::ZddOptions::default(),
-        }
-    }
-}
-
-/// Why [`cyclic_core_halted`] stopped without producing a core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreAbort {
-    /// The [`Halt`] fired (deadline or cancellation).
-    Halted(HaltReason),
-    /// The kernel's node budget was exhausted and
-    /// [`CoreOptions::degrade`] is `false`.
-    Exhausted(ZddOverflow),
-}
-
-impl std::fmt::Display for CoreAbort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoreAbort::Halted(r) => write!(f, "cyclic-core computation halted: {r}"),
-            CoreAbort::Exhausted(e) => write!(f, "cyclic-core computation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CoreAbort {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CoreAbort::Halted(_) => None,
-            CoreAbort::Exhausted(e) => Some(e),
         }
     }
 }
@@ -94,16 +62,17 @@ pub struct CoreResult {
     /// Original column index of each core column.
     pub col_map: Vec<usize>,
     /// Wall-clock time of the whole core computation (the `CC(s)` column of
-    /// the paper's tables).
+    /// the paper's tables): exactly `implicit_time + explicit_time`.
     pub cc_time: Duration,
-    /// Portion of `cc_time` spent in the implicit (ZDD) phase.
+    /// Portion of `cc_time` spent in the implicit phase: the coverability
+    /// check, the duplicate-row merge and, above `MaxR`/`MaxC`, the ZDD
+    /// reductions.
     pub implicit_time: Duration,
     /// Portion of `cc_time` spent in the explicit reduction phase.
     pub explicit_time: Duration,
     /// Counters of the ZDD manager used by the implicit phase. All zero
     /// when no manager was built: the merged matrix was already within
-    /// `MaxR`/`MaxC`, `use_implicit` was off, or the encoding overflowed
-    /// its node budget.
+    /// `MaxR`/`MaxC`, or the encoding overflowed its node budget.
     pub zdd_stats: zdd::ZddStats,
     /// `true` if some row cannot be covered at all.
     pub infeasible: bool,
@@ -135,64 +104,56 @@ impl CoreResult {
 /// assert!(core.fixed_cols.is_empty());
 /// ```
 pub fn cyclic_core(m: &CoverMatrix, opts: &CoreOptions) -> CoreResult {
-    cyclic_core_probed(m, opts, &mut NoopProbe)
+    cyclic_core_halted(m, opts, &Halt::none(), &mut NoopProbe).expect("Halt::none never fires")
 }
 
-/// [`cyclic_core`] with a telemetry probe observing the two reduction
-/// phases (begin/end events and wall-clock split).
-///
-/// # Panics
-///
-/// Panics if the kernel's node budget is exhausted while
-/// [`CoreOptions::degrade`] is `false` — use [`cyclic_core_halted`] to
-/// recover instead.
-pub fn cyclic_core_probed<P: Probe>(
-    m: &CoverMatrix,
-    opts: &CoreOptions,
-    probe: &mut P,
-) -> CoreResult {
-    match cyclic_core_halted(m, opts, &Halt::none(), probe) {
-        Ok(res) => res,
-        Err(abort @ CoreAbort::Exhausted(_)) => {
-            panic!("{abort} (enable CoreOptions::degrade or raise the node budget)")
-        }
-        Err(CoreAbort::Halted(_)) => unreachable!("Halt::none never fires"),
-    }
-}
-
-/// [`cyclic_core_probed`] with cooperative halting and graceful
-/// degradation.
+/// [`cyclic_core`] with cooperative halting and a telemetry probe
+/// observing the two reduction phases (begin/end events and wall-clock
+/// split).
 ///
 /// Duplicate rows are merged first, into the matrix a ZDD encode and
 /// decode would give. If that matrix is already within
-/// [`CoreOptions::max_rows`]/[`CoreOptions::max_cols`] (or
-/// [`CoreOptions::use_implicit`] is off), it goes straight to the explicit
-/// phase: no ZDD manager is built and no [`Event::ZddKernel`] is recorded.
-/// Otherwise the implicit phase reduces the ZDD row family until it fits.
+/// [`CoreOptions::max_rows`]/[`CoreOptions::max_cols`], it goes straight
+/// to the explicit phase: no ZDD manager is built and no
+/// [`Event::ZddKernel`] is recorded. Otherwise the implicit phase reduces
+/// the ZDD row family until it fits.
 ///
-/// The [`Halt`] is polled at every implicit-operation boundary, so a
-/// deadline or a cancellation stops the computation within one ZDD
-/// operation. If the kernel's node budget trips and
-/// [`CoreOptions::degrade`] is on, the partially-reduced family is
-/// salvaged (implicit reductions only shrink the family, so it is always
-/// enumerable) — or, when the encoding itself overflowed, the merged rows
-/// are used — and the explicit phase takes over; exactly one
-/// [`Event::Degraded`] is recorded per such fallback and the returned
-/// [`CoreResult::degraded`] flag is set.
+/// The [`Halt`] is polled at every implicit-operation boundary and once
+/// more before the explicit phase, so a deadline or a cancellation stops
+/// the computation within one ZDD operation. If the kernel's node budget
+/// trips, the partially-reduced family is salvaged (implicit reductions
+/// only shrink the family, so it is always enumerable) — or, when the
+/// encoding itself overflowed, the merged rows are used — and the
+/// explicit phase takes over; exactly one [`Event::Degraded`] is recorded
+/// per such fallback and the returned [`CoreResult::degraded`] flag is
+/// set.
+///
+/// The two phases tile the call: one clock reading ends the implicit
+/// phase and begins the explicit one, and the setup and teardown of each
+/// phase fall inside it.
 pub fn cyclic_core_halted<P: Probe>(
     m: &CoverMatrix,
     opts: &CoreOptions,
     halt: &Halt,
     probe: &mut P,
-) -> Result<CoreResult, CoreAbort> {
+) -> Result<CoreResult, HaltReason> {
     let start = Instant::now();
+    probe.record(Event::PhaseBegin {
+        phase: Phase::ImplicitReduction,
+    });
     if !m.is_coverable() {
+        let core = m.clone();
+        let implicit_time = start.elapsed();
+        probe.record(Event::PhaseEnd {
+            phase: Phase::ImplicitReduction,
+            seconds: implicit_time.as_secs_f64(),
+        });
         return Ok(CoreResult {
-            core: m.clone(),
+            core,
             fixed_cols: Vec::new(),
             col_map: (0..m.num_cols()).collect(),
-            cc_time: start.elapsed(),
-            implicit_time: Duration::ZERO,
+            cc_time: implicit_time,
+            implicit_time,
             explicit_time: Duration::ZERO,
             zdd_stats: zdd::ZddStats::default(),
             infeasible: true,
@@ -202,73 +163,24 @@ pub fn cyclic_core_halted<P: Probe>(
 
     // Phase 1: merge duplicate rows, then reduce implicitly on the ZDD row
     // family only while the merged matrix exceeds MaxR/MaxC.
-    probe.record(Event::PhaseBegin {
-        phase: Phase::ImplicitReduction,
-    });
-    let implicit_start = Instant::now();
-    let merged = canonical_rows(m);
-    let small =
-        merged.0.num_rows() as u128 <= opts.max_rows && merged.0.num_cols() <= opts.max_cols;
-    let mut zdd_stats = None;
-    let mut degraded = false;
-    let implicit_outcome = if small || !opts.use_implicit {
-        Ok((merged, Vec::new()))
-    } else {
-        match ImplicitMatrix::try_encode_with(m, opts.kernel) {
-            Ok(mut im) => {
-                // Only an encode overflow falls back to the merged rows.
-                drop(merged);
-                let outcome = match im.try_reduce_until_small(opts.max_rows, opts.max_cols, halt) {
-                    Ok(fixed) => Ok((im.decode(), fixed)),
-                    Err(ReduceAbort {
-                        interrupt: ReduceInterrupt::Halted(reason),
-                        ..
-                    }) => Err(CoreAbort::Halted(reason)),
-                    Err(ReduceAbort {
-                        fixed,
-                        interrupt: ReduceInterrupt::Overflow(e),
-                    }) => {
-                        if opts.degrade {
-                            // Salvage the partially-reduced family: the
-                            // reductions only ever shrink it, so decoding
-                            // is no larger than decoding the input.
-                            degraded = true;
-                            probe.record(Event::Degraded {
-                                reason: DegradeReason::NodeBudget,
-                                phase: Phase::ImplicitReduction,
-                            });
-                            Ok((im.decode(), fixed))
-                        } else {
-                            Err(CoreAbort::Exhausted(e))
-                        }
-                    }
-                };
-                zdd_stats = Some(im.zdd_stats());
-                outcome
-            }
-            Err(e) => {
-                if opts.degrade {
-                    // The family never fit: skip the implicit phase
-                    // and hand the explicit one the merged rows, which
-                    // are what a decode would have emitted.
-                    degraded = true;
-                    probe.record(Event::Degraded {
-                        reason: DegradeReason::NodeBudget,
-                        phase: Phase::ImplicitReduction,
-                    });
-                    Ok((merged, Vec::new()))
-                } else {
-                    Err(CoreAbort::Exhausted(e))
-                }
-            }
-        }
-    };
-    let implicit_time = implicit_start.elapsed();
+    let implicit =
+        implicit_phase(m, opts, halt, probe).and_then(|out| halt.check().map_or(Ok(out), Err));
+    let explicit_start = Instant::now();
+    let implicit_time = explicit_start - start;
     probe.record(Event::PhaseEnd {
         phase: Phase::ImplicitReduction,
         seconds: implicit_time.as_secs_f64(),
     });
-    let ((explicit, col_map_a), implicit_fixed) = implicit_outcome?;
+    let Implicit {
+        matrix,
+        col_map: col_map_a,
+        fixed: mut fixed_cols,
+        zdd_stats,
+        degraded,
+    } = implicit?;
+
+    // Phase 2: explicit reductions to the fixpoint. Its clock started
+    // where the implicit phase's stopped.
     if let Some(z) = &zdd_stats {
         probe.record(Event::ZddKernel {
             cache_hits: z.cache_hits,
@@ -283,27 +195,23 @@ pub fn cyclic_core_halted<P: Probe>(
             gc_max_pause_nanos: u64::try_from(z.gc_pause.max().as_nanos()).unwrap_or(u64::MAX),
         });
     }
-
-    // Phase 2: explicit reductions to the fixpoint.
-    if let Some(reason) = halt.check() {
-        return Err(CoreAbort::Halted(reason));
-    }
     probe.record(Event::PhaseBegin {
         phase: Phase::ExplicitReduction,
     });
-    let explicit_start = Instant::now();
-    let mut red = Reducer::new(&explicit);
+    let mut red = Reducer::new(&matrix);
     red.reduce_to_fixpoint();
     let infeasible = red.infeasible();
     let (core, _, col_map_b) = red.extract_core();
 
     // Compose maps back to original indices.
-    let mut fixed_cols = implicit_fixed;
     fixed_cols.extend(red.fixed().iter().map(|&j| col_map_a[j]));
     fixed_cols.sort_unstable();
     fixed_cols.dedup();
     let col_map: Vec<usize> = col_map_b.iter().map(|&j| col_map_a[j]).collect();
-    let explicit_time = explicit_start.elapsed();
+    drop(red);
+    drop((matrix, col_map_a, col_map_b));
+    let end = Instant::now();
+    let explicit_time = end - explicit_start;
     probe.record(Event::PhaseEnd {
         phase: Phase::ExplicitReduction,
         seconds: explicit_time.as_secs_f64(),
@@ -313,11 +221,90 @@ pub fn cyclic_core_halted<P: Probe>(
         core,
         fixed_cols,
         col_map,
-        cc_time: start.elapsed(),
+        cc_time: end - start,
         implicit_time,
         explicit_time,
         zdd_stats: zdd_stats.unwrap_or_default(),
         infeasible,
+        degraded,
+    })
+}
+
+/// What the implicit phase hands the explicit one.
+struct Implicit {
+    /// The merged (or decoded) row family over its live columns.
+    matrix: CoverMatrix,
+    /// Original index of each column of `matrix`.
+    col_map: Vec<usize>,
+    /// Essential columns fixed implicitly (original indices).
+    fixed: Vec<usize>,
+    /// Counters of the ZDD manager, when one was built.
+    zdd_stats: Option<zdd::ZddStats>,
+    /// `true` when the node budget sent the phase to the merged or
+    /// salvaged rows.
+    degraded: bool,
+}
+
+/// The implicit phase of [`cyclic_core_halted`], up to its halt.
+fn implicit_phase<P: Probe>(
+    m: &CoverMatrix,
+    opts: &CoreOptions,
+    halt: &Halt,
+    probe: &mut P,
+) -> Result<Implicit, HaltReason> {
+    let (matrix, col_map) = canonical_rows(m);
+    let merged = Implicit {
+        matrix,
+        col_map,
+        fixed: Vec::new(),
+        zdd_stats: None,
+        degraded: false,
+    };
+    if merged.matrix.num_rows() as u128 <= opts.max_rows
+        && merged.matrix.num_cols() <= opts.max_cols
+    {
+        return Ok(merged);
+    }
+    let record_degraded = |probe: &mut P| {
+        probe.record(Event::Degraded {
+            reason: DegradeReason::NodeBudget,
+            phase: Phase::ImplicitReduction,
+        })
+    };
+    let Ok(mut im) = ImplicitMatrix::try_encode_with(m, opts.kernel) else {
+        // The family never fit: hand the explicit phase the merged rows,
+        // which are what a decode would have emitted.
+        record_degraded(probe);
+        return Ok(Implicit {
+            degraded: true,
+            ..merged
+        });
+    };
+    // Only an encode overflow falls back to the merged rows.
+    drop(merged);
+    let (fixed, degraded) = match im.try_reduce_until_small(opts.max_rows, opts.max_cols, halt) {
+        Ok(fixed) => (fixed, false),
+        Err(ReduceAbort {
+            interrupt: ReduceInterrupt::Halted(reason),
+            ..
+        }) => return Err(reason),
+        Err(ReduceAbort {
+            fixed,
+            interrupt: ReduceInterrupt::Overflow(_),
+        }) => {
+            // Salvage the partially-reduced family: the reductions only
+            // ever shrink it, so decoding is no larger than decoding the
+            // input.
+            record_degraded(probe);
+            (fixed, true)
+        }
+    };
+    let (matrix, col_map) = im.decode();
+    Ok(Implicit {
+        matrix,
+        col_map,
+        fixed,
+        zdd_stats: Some(im.zdd_stats()),
         degraded,
     })
 }
@@ -361,13 +348,8 @@ mod tests {
             ],
         );
         let with = cyclic_core(&m, &implicit());
-        let without = cyclic_core(
-            &m,
-            &CoreOptions {
-                use_implicit: false,
-                ..CoreOptions::default()
-            },
-        );
+        // Within MaxR/MaxC the default options take the explicit route.
+        let without = cyclic_core(&m, &CoreOptions::default());
         assert_eq!(with.fixed_cols, without.fixed_cols);
         assert_eq!(with.core.num_rows(), without.core.num_rows());
         assert_eq!(with.core.num_cols(), without.core.num_cols());
@@ -410,7 +392,7 @@ mod tests {
         };
         let mut probe = RecordingProbe::new();
         let res = cyclic_core_halted(&m, &tiny, &Halt::none(), &mut probe)
-            .expect("degrade=true never aborts on overflow");
+            .expect("an overflow degrades, it never aborts");
         assert!(res.degraded);
         let degraded_events = probe
             .events()
@@ -419,33 +401,12 @@ mod tests {
             .count();
         assert_eq!(degraded_events, 1, "exactly one Degraded per fallback");
         assert!(probe.unbalanced_phases().is_empty());
-        // The degraded result matches the pure-explicit ablation.
-        let explicit_only = cyclic_core(
-            &m,
-            &CoreOptions {
-                use_implicit: false,
-                ..CoreOptions::default()
-            },
-        );
+        // The degraded result matches the explicit route, which the
+        // default options take on this small matrix.
+        let explicit_only = cyclic_core(&m, &CoreOptions::default());
         assert_eq!(res.fixed_cols, explicit_only.fixed_cols);
         assert_eq!(res.core.num_rows(), explicit_only.core.num_rows());
         assert_eq!(res.core.num_cols(), explicit_only.core.num_cols());
-    }
-
-    #[test]
-    fn degrade_off_reports_exhaustion() {
-        let m = hard_instance();
-        let opts = CoreOptions {
-            kernel: zdd::ZddOptions::new().node_budget(16),
-            degrade: false,
-            ..implicit()
-        };
-        let err = cyclic_core_halted(&m, &opts, &Halt::none(), &mut NoopProbe).unwrap_err();
-        assert!(matches!(err, CoreAbort::Exhausted(_)), "{err}");
-        // The infallible wrapper turns the same condition into a panic.
-        let panicked = std::panic::catch_unwind(|| cyclic_core(&m, &opts)).unwrap_err();
-        let msg = panicked.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("node budget"), "{msg}");
     }
 
     #[test]
@@ -459,7 +420,7 @@ mod tests {
             cancel: Some(flag),
         };
         let err = cyclic_core_halted(&m, &implicit(), &halt, &mut NoopProbe).unwrap_err();
-        assert_eq!(err, CoreAbort::Halted(HaltReason::Cancelled));
+        assert_eq!(err, HaltReason::Cancelled);
     }
 
     #[test]
@@ -468,7 +429,6 @@ mod tests {
         let m = hard_instance();
         let starved = CoreOptions {
             kernel: zdd::ZddOptions::new().node_budget(16),
-            degrade: false,
             ..CoreOptions::default()
         };
         let mut probe = RecordingProbe::new();

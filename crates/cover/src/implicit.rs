@@ -352,19 +352,6 @@ impl ImplicitMatrix {
     /// drops under `(max_rows, max_cols)` — the `MaxR`/`MaxC` early exit of
     /// Fig. 2. Returns the essential columns fixed.
     ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see
-    /// [`ImplicitMatrix::try_reduce_until_small`]).
-    pub fn reduce_until_small(&mut self, max_rows: u128, max_cols: usize) -> Vec<usize> {
-        match self.try_reduce_until_small(max_rows, max_cols, &Halt::none()) {
-            Ok(fixed) => fixed,
-            Err(abort) => panic!("{abort} (use try_reduce_until_small to recover)"),
-        }
-    }
-
-    /// Fallible, haltable [`ImplicitMatrix::reduce_until_small`].
-    ///
     /// Polls `halt` at every operation boundary, so a deadline or a
     /// cancellation lands within one implicit operation; on node-budget
     /// exhaustion each operation is retried once after a forced collection
@@ -550,7 +537,7 @@ mod tests {
         let m = CoverMatrix::from_rows(3, vec![vec![0], vec![0, 1], vec![1, 2]]);
         let mut im = ImplicitMatrix::encode(&m);
         // Already below the bound: nothing happens.
-        let ess = im.reduce_until_small(100, 100);
+        let ess = im.try_reduce_until_small(100, 100, &Halt::none()).unwrap();
         assert!(ess.is_empty());
         assert_eq!(im.num_rows(), 3);
     }

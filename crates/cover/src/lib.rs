@@ -39,9 +39,7 @@ mod partition;
 mod reduce;
 
 pub use constraints::{ConstraintError, ConstraintKind, Constraints, GubGroup};
-pub use core_driver::{
-    cyclic_core, cyclic_core_halted, cyclic_core_probed, CoreAbort, CoreOptions, CoreResult,
-};
+pub use core_driver::{cyclic_core, cyclic_core_halted, CoreOptions, CoreResult};
 pub use halt::{CancelFlag, Halt, HaltReason};
 pub use implicit::{ImplicitMatrix, ReduceAbort, ReduceInterrupt};
 pub use io::ParseMatrixError;

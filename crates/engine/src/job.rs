@@ -2,7 +2,7 @@
 //! [`SubmitError`].
 
 use std::sync::mpsc;
-use ucp_core::{CancelFlag, ConstraintError, ScgOutcome, WireCode, ZddOverflow};
+use ucp_core::{CancelFlag, ConstraintError, ScgOutcome, WireCode};
 
 /// Engine-unique job identifier, in submission order starting at 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,9 +31,6 @@ pub enum JobError {
     /// The solve panicked; the payload message is preserved. The worker
     /// thread survives and moves on to the next job.
     Panicked(String),
-    /// The solve exhausted its ZDD node budget, and so did the engine's
-    /// one automatic retry under the explicit-only degraded preset.
-    ResourceExhausted(ZddOverflow),
     /// The job's `coverage`/`gub_groups` constraints do not fit the
     /// instance (rejected before the solve proper started).
     InvalidConstraints(ConstraintError),
@@ -58,7 +55,6 @@ impl JobError {
             JobError::Cancelled => WireCode::Cancelled,
             JobError::Expired => WireCode::Expired,
             JobError::Panicked(_) => WireCode::Panicked,
-            JobError::ResourceExhausted(_) => WireCode::ResourceExhausted,
             JobError::InvalidConstraints(_) => WireCode::UnsupportedConstraints,
             JobError::EngineClosed => WireCode::EngineClosed,
             JobError::Shutdown => WireCode::Shutdown,
@@ -72,9 +68,6 @@ impl std::fmt::Display for JobError {
             JobError::Cancelled => f.write_str("job cancelled"),
             JobError::Expired => f.write_str("deadline budget spent before the job started"),
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-            JobError::ResourceExhausted(_) => {
-                f.write_str("job exhausted its resource budget, even after a degraded retry")
-            }
             JobError::InvalidConstraints(e) => {
                 write!(f, "job constraints do not fit the instance: {e}")
             }
@@ -89,7 +82,6 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            JobError::ResourceExhausted(e) => Some(e),
             JobError::InvalidConstraints(e) => Some(e),
             _ => None,
         }

@@ -129,16 +129,11 @@ pub struct EngineStats {
     pub expired: u64,
     /// Jobs that resolved to [`JobError::Panicked`].
     pub panicked: u64,
-    /// Jobs whose solve fell back to the explicit representation after
-    /// exhausting its ZDD node budget — in-solve degradations and
-    /// successful engine-level degraded retries both count.
+    /// Completed jobs whose solve exhausted its ZDD node budget and fell
+    /// back to the explicit reductions in-process (their outcome's
+    /// `degraded` flag is set). A subset of `completed`: a node budget
+    /// never fails a job.
     pub degraded: u64,
-    /// Jobs the engine retried once under the explicit-only degraded
-    /// preset after [`SolveError::ResourceExhausted`].
-    pub retried: u64,
-    /// Jobs that resolved to [`JobError::ResourceExhausted`] — the
-    /// degraded retry was impossible or also exhausted.
-    pub exhausted: u64,
     /// Queued jobs aborted to [`JobError::Shutdown`] by
     /// [`Engine::shutdown_now`] / [`Engine::abort_queued`] without
     /// running.
@@ -206,8 +201,6 @@ struct Counters {
     expired: Arc<Counter>,
     panicked: Arc<Counter>,
     degraded: Arc<Counter>,
-    retried: Arc<Counter>,
-    exhausted: Arc<Counter>,
     /// Queued jobs aborted to [`JobError::Shutdown`] without running.
     aborted: Arc<Counter>,
     /// Completed jobs that warm-started from a journaled checkpoint.
@@ -254,14 +247,6 @@ impl Counters {
                 "ucp_engine_jobs_degraded_total",
                 "Jobs that fell back to the explicit representation",
             ),
-            retried: registry.counter(
-                "ucp_engine_jobs_retried_total",
-                "Jobs retried explicit-only after resource exhaustion",
-            ),
-            exhausted: registry.counter(
-                "ucp_engine_jobs_exhausted_total",
-                "Jobs that resolved to ResourceExhausted",
-            ),
             aborted: registry.counter(
                 "ucp_engine_jobs_aborted_total",
                 "Queued jobs aborted to Shutdown without running",
@@ -299,7 +284,6 @@ impl Counters {
             + self.cancelled.get()
             + self.expired.get()
             + self.panicked.get()
-            + self.exhausted.get()
             + self.aborted.get()
     }
 }
@@ -598,8 +582,6 @@ impl Engine {
             expired: c.expired.get(),
             panicked: c.panicked.get(),
             degraded: c.degraded.get(),
-            retried: c.retried.get(),
-            exhausted: c.exhausted.get(),
             aborted: c.aborted.get(),
             resumed: c.resumed.get(),
             queued,
@@ -625,7 +607,7 @@ impl Engine {
     /// `submitted` once the queue is empty — [`Engine::abort_queued`]
     /// records the wait of the jobs it drains too) and
     /// `ucp_engine_run_seconds` every job that ran to a verdict (==
-    /// `completed + cancelled + expired + panicked + exhausted`;
+    /// `completed + cancelled + expired + panicked`;
     /// aborted jobs never ran). The chaos test pins both identities.
     pub fn metrics_snapshot(&self) -> Vec<MetricSnapshot> {
         let c = &self.shared.counters;
@@ -795,7 +777,6 @@ fn worker_loop(shared: &Shared) {
             Err(JobError::Cancelled) => &shared.counters.cancelled,
             Err(JobError::Expired) => &shared.counters.expired,
             Err(JobError::Panicked(_)) => &shared.counters.panicked,
-            Err(JobError::ResourceExhausted(_)) => &shared.counters.exhausted,
             Err(_) => &shared.counters.completed,
         };
         counter.inc();
@@ -846,56 +827,15 @@ fn run_job(
             }
         });
     }
-    // Saved up front — the solve consumes the request, and a budget
-    // exhaustion earns one retry under the explicit-only degraded
-    // preset (which allocates no ZDD nodes at all).
-    let retry_matrix = request.shared_matrix();
-    let retry_opts = *request.opts();
-    let retry_cons = request.constraint_set().clone();
-    let solve_started = Instant::now();
-    let exhausted = match catch_unwind(AssertUnwindSafe(move || Scg::run(request))) {
+    match catch_unwind(AssertUnwindSafe(move || Scg::run(request))) {
         Ok(Ok(outcome)) => {
             if outcome.degraded {
                 counters.degraded.inc();
             }
-            return Ok(outcome);
-        }
-        Ok(Err(SolveError::Cancelled)) => return Err(JobError::Cancelled),
-        Ok(Err(SolveError::Expired)) => return Err(JobError::Expired),
-        Ok(Err(SolveError::ResourceExhausted(e))) => e,
-        Ok(Err(SolveError::InvalidConstraints(e))) => return Err(JobError::InvalidConstraints(e)),
-        Ok(Err(other)) => {
-            return Err(JobError::Panicked(format!(
-                "unexpected solve error: {other}"
-            )))
-        }
-        Err(payload) => return Err(JobError::Panicked(panic_message(&payload))),
-    };
-    let Some(m) = retry_matrix else {
-        return Err(JobError::ResourceExhausted(exhausted));
-    };
-    counters.retried.inc();
-    let mut opts = retry_opts;
-    opts.core.use_implicit = false;
-    // The retry still races the job's original deadline budget.
-    if let Some(budget) = opts.time_limit {
-        match budget.checked_sub(solve_started.elapsed()) {
-            Some(remaining) => opts.time_limit = Some(remaining),
-            None => return Err(JobError::Expired),
-        }
-    }
-    let retry = SolveRequest::for_shared(m)
-        .options(opts)
-        .constraints(retry_cons)
-        .cancel(cancel);
-    match catch_unwind(AssertUnwindSafe(move || Scg::run(retry))) {
-        Ok(Ok(outcome)) => {
-            counters.degraded.inc();
             Ok(outcome)
         }
         Ok(Err(SolveError::Cancelled)) => Err(JobError::Cancelled),
         Ok(Err(SolveError::Expired)) => Err(JobError::Expired),
-        Ok(Err(SolveError::ResourceExhausted(e))) => Err(JobError::ResourceExhausted(e)),
         Ok(Err(SolveError::InvalidConstraints(e))) => Err(JobError::InvalidConstraints(e)),
         Ok(Err(other)) => Err(JobError::Panicked(format!(
             "unexpected solve error: {other}"
@@ -1117,40 +1057,37 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_job_is_retried_under_the_degraded_preset() {
+    fn starved_job_degrades_in_process() {
         let engine = Engine::start(EngineConfig {
             workers: 1,
             queue_capacity: 4,
         });
         // A 12-cycle plus chords: encoding it needs well over 16 ZDD
-        // nodes, so the tiny budget (with in-solve degradation off)
-        // exhausts and the engine retries explicit-only.
+        // nodes, so the tiny budget trips and the solve falls back to the
+        // explicit reductions.
         let n = 12usize;
         let mut rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
         rows.push((0..n).step_by(2).collect());
         rows.push((0..n).step_by(3).collect());
         let m = Arc::new(CoverMatrix::from_rows(n, rows));
-        let mut explicit = ucp_core::ScgOptions::default();
-        explicit.core.use_implicit = false;
-        let baseline =
-            Scg::run(SolveRequest::for_shared(Arc::clone(&m)).options(explicit)).unwrap();
-        // The matrix is within MaxR/MaxC, which skips the ZDD; MaxR =
-        // MaxC = 0 sends it through the implicit phase.
+        // Within MaxR/MaxC the default options take the explicit route.
+        let baseline = Scg::run(SolveRequest::for_shared(Arc::clone(&m))).unwrap();
+        // MaxR = MaxC = 0 sends the matrix through the implicit phase.
         let mut starved = ucp_core::ScgOptions::default();
         starved.core.max_rows = 0;
         starved.core.max_cols = 0;
-        starved.core.degrade = false;
         starved.core.kernel = starved.core.kernel.node_budget(16);
         let job = engine
             .submit(SolveRequest::for_shared(Arc::clone(&m)).options(starved))
             .unwrap();
-        let out = job.wait().expect("the degraded retry should succeed");
+        let out = job
+            .wait()
+            .expect("a starved solve degrades, it never fails");
+        assert!(out.degraded);
         assert_eq!(out.cost, baseline.cost);
         let stats = engine.shutdown();
-        assert_eq!(stats.retried, 1);
         assert_eq!(stats.degraded, 1);
         assert_eq!(stats.completed, 1);
-        assert_eq!(stats.exhausted, 0);
     }
 
     #[test]

@@ -28,8 +28,7 @@ fn cycle(n: usize) -> cover::CoverMatrix {
 }
 
 /// 12-cycle plus chords: encoding it needs well over 16 ZDD nodes, so a
-/// 16-node budget with in-solve degradation off forces the engine's
-/// explicit-only retry.
+/// 16-node budget forces the solve's in-process explicit fallback.
 fn hard_matrix() -> cover::CoverMatrix {
     let n = 12usize;
     let mut rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
@@ -56,10 +55,12 @@ fn mixed_chaos_batch_reconciles_exactly() {
     opts.core.max_rows = 0;
     opts.core.max_cols = 0;
     let mut starved = opts;
-    starved.core.degrade = false;
     starved.core.kernel = starved.core.kernel.node_budget(16);
-    let mut explicit = opts;
-    explicit.core.use_implicit = false;
+    // The default MaxR/MaxC take the explicit route on this matrix.
+    let explicit = ScgOptions {
+        num_iter: 20,
+        ..ScgOptions::default()
+    };
     let baseline = Scg::run(SolveRequest::for_shared(Arc::clone(&hard_m)).options(explicit))
         .expect("explicit baseline solves");
 
@@ -125,8 +126,9 @@ fn mixed_chaos_batch_reconciles_exactly() {
         assert!(!out.degraded);
     }
     for job in budgeted {
-        let out = job.wait().expect("starved job completes via the retry");
-        assert_eq!(out.cost, baseline.cost, "retry changed the cover cost");
+        let out = job.wait().expect("starved job completes via the fallback");
+        assert!(out.degraded, "a 16-node budget must trip the fallback");
+        assert_eq!(out.cost, baseline.cost, "fallback changed the cover cost");
     }
     for job in panicking {
         match job.wait() {
@@ -181,10 +183,6 @@ fn mixed_chaos_batch_reconciles_exactly() {
         stats_before.panicked
     );
     assert_eq!(
-        counter("ucp_engine_jobs_retried_total"),
-        stats_before.retried
-    );
-    assert_eq!(
         counter("ucp_engine_jobs_degraded_total"),
         stats_before.degraded
     );
@@ -199,14 +197,12 @@ fn mixed_chaos_batch_reconciles_exactly() {
             + stats_before.cancelled
             + stats_before.expired
             + stats_before.panicked
-            + stats_before.exhausted
     );
     // Solver families record one observation per *completed* solve.
     assert_eq!(counter("ucp_core_solves_total"), stats_before.completed);
-    // The engine's `degraded` counts explicit-only *retries*; the retry
-    // solve itself runs explicit from the start and never falls back
-    // in-solve, so the core-level family stays at zero.
-    assert_eq!(counter("ucp_core_degraded_total"), 0);
+    // Each starved job falls back in-solve, so the core-level family
+    // counts the same six fallbacks as the engine.
+    assert_eq!(counter("ucp_core_degraded_total"), stats_before.degraded);
     // The Prometheus rendering of the same registry parses line by line.
     let text = engine.registry().render_prometheus();
     for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -219,13 +215,11 @@ fn mixed_chaos_batch_reconciles_exactly() {
 
     let stats = engine.shutdown();
     assert_eq!(stats.submitted, 32);
-    assert_eq!(stats.completed, 14, "8 plain + 6 retried");
+    assert_eq!(stats.completed, 14, "8 plain + 6 degraded");
     assert_eq!(stats.panicked, 6);
     assert_eq!(stats.cancelled, 6);
     assert_eq!(stats.expired, 6);
-    assert_eq!(stats.retried, 6);
     assert_eq!(stats.degraded, 6);
-    assert_eq!(stats.exhausted, 0);
     assert_eq!(stats.queued, 0);
     assert_eq!(stats.running, 0);
 }

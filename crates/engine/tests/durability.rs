@@ -6,8 +6,8 @@ use cover::CoverMatrix;
 use std::path::PathBuf;
 use std::sync::Arc;
 use ucp_core::wire::JobSpec;
-use ucp_core::{Preset, Scg, SolveRequest};
-use ucp_durability::{read_journal, Journal, Record, RecoverySet, Terminal};
+use ucp_core::{Preset, Scg, SolveRequest, WireCode, WireError};
+use ucp_durability::{crc32, read_journal, Journal, Record, RecoverySet, Terminal, JOURNAL_FILE};
 use ucp_engine::{Engine, EngineConfig, JobError};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -287,5 +287,58 @@ fn recovered_job_with_expired_deadline_resolves_expired() {
     let replay = read_journal(&dir).unwrap();
     let set = RecoverySet::from_records(&replay.records);
     assert_eq!(set.incomplete().count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records exactly as journals carried them while `use_implicit` and
+/// `degrade` were options: every `Submitted` spec names both keys, and a
+/// job that ran out of ZDD nodes failed with `resource_exhausted`.
+const LEGACY_SUBMITTED: &str = r#"{"schema":"ucp-journal/1","record":"submitted","job":7,"t_ms":1000,"spec":{"preset":"paper","workers":0,"seed":3665698816,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"use_implicit":false,"degrade":false,"partition":true},"matrix":{"cols":3,"rows":[[0,1],[1,2],[0,2]]}}"#;
+const LEGACY_FAILED: &str = r#"{"schema":"ucp-journal/1","record":"failed","job":8,"t_ms":1001,"error":{"code":"resource_exhausted","message":"job exhausted its resource budget, even after a degraded retry"}}"#;
+
+#[test]
+fn legacy_records_still_replay() {
+    let dir = tmp_dir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Raw frames (length, CRC-32, payload), so the payloads reach the
+    // parser byte for byte as they were written.
+    let mut bytes = Vec::new();
+    for payload in [LEGACY_SUBMITTED, LEGACY_FAILED] {
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+    }
+    std::fs::write(dir.join(JOURNAL_FILE), &bytes).unwrap();
+
+    let (engine, set) = start_journaled(&dir);
+    let failed = set.jobs[&8].terminal.as_ref().expect("job 8 is terminal");
+    assert_eq!(
+        *failed,
+        Terminal::Failed(WireError::new(
+            WireCode::ResourceExhausted,
+            "job exhausted its resource budget, even after a degraded retry"
+        ))
+    );
+    let job = &set.jobs[&7];
+    let spec = job.spec.as_ref().expect("the legacy spec parses");
+    assert_eq!(
+        *spec,
+        JobSpec::from_options(&Preset::Paper.options()).unwrap()
+    );
+    let matrix = Arc::new(job.matrix.clone().unwrap());
+    assert_eq!(*spec.to_request(matrix).opts(), Preset::Paper.options());
+
+    let recovered = engine.recover(&set);
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered[0].id, 7);
+    let out = recovered
+        .into_iter()
+        .next()
+        .unwrap()
+        .handle
+        .wait()
+        .expect("the recovered job completes");
+    assert_eq!(out.cost, 2.0);
+    engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

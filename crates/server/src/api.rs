@@ -140,7 +140,6 @@ fn stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     e.field_u64("cancelled", engine.cancelled);
     e.field_u64("expired", engine.expired);
     e.field_u64("panicked", engine.panicked);
-    e.field_u64("exhausted", engine.exhausted);
     e.field_u64("aborted", engine.aborted);
     e.field_u64("queued", engine.queued);
     e.field_u64("running", engine.running);

@@ -349,12 +349,8 @@ impl ServerState {
     /// [`RetryAfterEstimator`]).
     fn suggest_retry_after(&self) -> u32 {
         let stats = self.engine.stats();
-        let terminal = stats.completed
-            + stats.cancelled
-            + stats.expired
-            + stats.panicked
-            + stats.exhausted
-            + stats.aborted;
+        let terminal =
+            stats.completed + stats.cancelled + stats.expired + stats.panicked + stats.aborted;
         self.retry_after
             .suggest(Instant::now(), terminal, stats.queued)
     }

@@ -1,11 +1,12 @@
 //! The classical ZDD family algebra: union, intersection, difference and
 //! unate product.
 //!
-//! Every operation comes in two public flavours over one recursive core:
-//! the classic infallible form (`union`, …) that panics if a configured
-//! [`node_budget`](crate::ZddOptions::node_budget) is exhausted — and
-//! can never fail without one — and a `try_*` form returning a
-//! recoverable [`ZddOverflow`](crate::ZddOverflow). The cores keep the
+//! Every operation has an infallible form (`union`, …) that panics if a
+//! configured [`node_budget`](crate::ZddOptions::node_budget) is
+//! exhausted — and can never fail without one. The operations a
+//! budgeted caller needs (`union` here) also come as a `try_*` form
+//! returning a recoverable [`ZddOverflow`](crate::ZddOverflow), over the
+//! same recursive core. The cores keep the
 //! historically infallible shape: exhaustion latches the manager's
 //! sticky flag and the recursion runs on harmlessly (see
 //! `Zdd::node_core`), so the compiled hot path is byte-for-byte the
@@ -62,19 +63,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_intersect`]).
+    /// Panics on node-budget exhaustion.
     pub fn intersect(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let r = self.intersect_rec(f, g);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::intersect`] for budgeted managers.
-    pub fn try_intersect(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.intersect_rec(f, g);
-        self.finish_try(r)
     }
 
     pub(crate) fn intersect_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
@@ -103,19 +95,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_difference`]).
+    /// Panics on node-budget exhaustion.
     pub fn difference(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let r = self.difference_rec(f, g);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::difference`] for budgeted managers.
-    pub fn try_difference(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.difference_rec(f, g);
-        self.finish_try(r)
     }
 
     pub(crate) fn difference_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
@@ -146,19 +129,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_product`]).
+    /// Panics on node-budget exhaustion.
     pub fn product(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let r = self.product_rec(f, g);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::product`] for budgeted managers.
-    pub fn try_product(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.product_rec(f, g);
-        self.finish_try(r)
     }
 
     pub(crate) fn product_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {

@@ -68,7 +68,7 @@ impl Zdd {
     /// # Panics
     ///
     /// Panics if `g` is the empty family.
-    pub fn remainder(&mut self, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn remainder(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let q = self.quotient(f, g);
         let p = self.product(g, q);
         self.difference(f, p)

@@ -16,19 +16,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_nonsupersets`]).
+    /// Panics on node-budget exhaustion.
     pub fn nonsupersets(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let r = self.nonsupersets_rec(f, g);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::nonsupersets`] for budgeted managers.
-    pub fn try_nonsupersets(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.nonsupersets_rec(f, g);
-        self.finish_try(r)
     }
 
     pub(crate) fn nonsupersets_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
@@ -69,19 +60,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_nonsubsets`]).
+    /// Panics on node-budget exhaustion.
     pub fn nonsubsets(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let r = self.nonsubsets_rec(f, g);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::nonsubsets`] for budgeted managers.
-    pub fn try_nonsubsets(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.nonsubsets_rec(f, g);
-        self.finish_try(r)
     }
 
     pub(crate) fn nonsubsets_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
@@ -163,19 +145,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_maximal`]).
+    /// Panics on node-budget exhaustion.
     pub fn maximal(&mut self, f: NodeId) -> NodeId {
         let r = self.maximal_rec(f);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::maximal`] for budgeted managers.
-    pub fn try_maximal(&mut self, f: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.maximal_rec(f);
-        self.finish_try(r)
     }
 
     pub(crate) fn maximal_rec(&mut self, f: NodeId) -> NodeId {

@@ -155,25 +155,9 @@ impl ZddOptions {
         self.gc_threshold
     }
 
-    /// The configured auto-GC growth ratio.
-    pub fn get_gc_ratio(&self) -> f64 {
-        self.gc_ratio
-    }
-
-    /// Whether automatic collection is enabled.
-    pub fn get_auto_gc(&self) -> bool {
-        self.auto_gc
-    }
-
     /// The configured node budget (`usize::MAX` when unlimited).
     pub fn get_node_budget(&self) -> usize {
         self.node_budget
-    }
-
-    /// The node budget expressed in estimated bytes (`usize::MAX` when
-    /// unlimited).
-    pub fn get_memory_budget(&self) -> usize {
-        self.node_budget.saturating_mul(APPROX_BYTES_PER_NODE)
     }
 }
 
@@ -193,8 +177,8 @@ mod tests {
         assert_eq!(o.get_unique_capacity(), 128);
         assert_eq!(o.get_cache_capacity(), 256);
         assert_eq!(o.get_gc_threshold(), 512);
-        assert_eq!(o.get_gc_ratio(), 3.0);
-        assert!(!o.get_auto_gc());
+        assert_eq!(o.gc_ratio, 3.0);
+        assert!(!o.auto_gc);
     }
 
     #[test]
@@ -205,16 +189,12 @@ mod tests {
         assert_eq!(ZddOptions::new().node_budget(0).get_node_budget(), 16);
         let byte_budget = ZddOptions::new().memory_budget(4800);
         assert_eq!(byte_budget.get_node_budget(), 4800 / APPROX_BYTES_PER_NODE);
-        assert_eq!(
-            byte_budget.get_memory_budget(),
-            byte_budget.get_node_budget() * APPROX_BYTES_PER_NODE
-        );
     }
 
     #[test]
     fn gc_ratio_is_clamped() {
-        assert_eq!(ZddOptions::new().gc_ratio(0.5).get_gc_ratio(), 1.1);
-        assert_eq!(ZddOptions::new().gc_ratio(f64::NAN).get_gc_ratio(), 2.0);
+        assert_eq!(ZddOptions::new().gc_ratio(0.5).gc_ratio, 1.1);
+        assert_eq!(ZddOptions::new().gc_ratio(f64::NAN).gc_ratio, 2.0);
     }
 
     #[test]

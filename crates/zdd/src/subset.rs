@@ -93,19 +93,10 @@ impl Zdd {
     ///
     /// # Panics
     ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_change`]).
+    /// Panics on node-budget exhaustion.
     pub fn change(&mut self, f: NodeId, v: Var) -> NodeId {
         let r = self.change_rec(f, v);
         self.finish(r)
-    }
-
-    /// Fallible [`Zdd::change`] for budgeted managers.
-    pub fn try_change(&mut self, f: NodeId, v: Var) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.change_rec(f, v);
-        self.finish_try(r)
     }
 
     pub(crate) fn change_rec(&mut self, f: NodeId, v: Var) -> NodeId {

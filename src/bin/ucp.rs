@@ -72,8 +72,8 @@
 //! `--node-budget N` caps the implicit phase's ZDD store at `N` live
 //! nodes. A solve that exhausts the budget degrades to the explicit
 //! reductions and still returns the same cover (`--stats` reports the
-//! fallback); engine jobs that fail outright are retried once
-//! explicit-only.
+//! fallback). The implicit phase runs only on a matrix whose distinct
+//! rows exceed `MaxR`/`MaxC`, so the budget acts only there.
 //!
 //! `--coverage B` demands `B` distinct covering columns per row (set
 //! multicover); a comma list (`2,1,3,…`) sets one demand per row.
@@ -685,10 +685,10 @@ fn cmd_batch(args: &[String]) -> CliResult {
         elapsed.as_secs_f64(),
         done as f64 / elapsed.as_secs_f64().max(1e-9),
     );
-    if stats.degraded > 0 || stats.retried > 0 {
+    if stats.degraded > 0 {
         println!(
-            "node budget pressure: {} degraded to explicit, {} retried, {} exhausted outright",
-            stats.degraded, stats.retried, stats.exhausted
+            "node budget pressure: {} degraded to explicit",
+            stats.degraded
         );
     }
     if failed > 0 {

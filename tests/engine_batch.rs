@@ -98,7 +98,6 @@ fn batch_with_gc_kernel_stays_under_the_node_ceiling() {
             max_rows: 0,
             max_cols: 0,
             kernel,
-            ..CoreOptions::default()
         },
         ..Preset::Fast.options()
     };

@@ -66,7 +66,6 @@ fn every_public_error_enum_implements_error_uniformly() {
         Box::new(JobError::Cancelled),
         Box::new(JobError::Expired),
         Box::new(JobError::Panicked("boom".into())),
-        Box::new(JobError::ResourceExhausted(overflow())),
         Box::new(JobError::InvalidConstraints(bad_constraints())),
         Box::new(JobError::EngineClosed),
         Box::new(JobError::Shutdown),
@@ -75,7 +74,6 @@ fn every_public_error_enum_implements_error_uniformly() {
         Box::new(SubmitError::Closed),
         Box::new(SolveError::Cancelled),
         Box::new(SolveError::Expired),
-        Box::new(SolveError::ResourceExhausted(overflow())),
         Box::new(SolveError::InvalidConstraints(bad_constraints())),
         Box::new(bad_constraints()),
         Box::new(overflow()),
@@ -83,24 +81,6 @@ fn every_public_error_enum_implements_error_uniformly() {
     for err in &errs {
         check(err.as_ref());
     }
-}
-
-#[test]
-fn resource_exhaustion_chains_to_the_overflow_cause() {
-    for err in [
-        &JobError::ResourceExhausted(overflow()) as &dyn Error,
-        &SolveError::ResourceExhausted(overflow()) as &dyn Error,
-    ] {
-        let src = err.source().expect("exhaustion carries its cause");
-        assert_eq!(src.to_string(), overflow().to_string());
-        assert!(src.source().is_none(), "ZddOverflow is the chain root");
-    }
-}
-
-#[test]
-fn overflow_converts_into_solve_error() {
-    let e: SolveError = overflow().into();
-    assert_eq!(e, SolveError::ResourceExhausted(overflow()));
 }
 
 #[test]
@@ -130,10 +110,6 @@ fn every_error_variant_maps_to_a_documented_wire_code() {
         (JobError::Expired, WireCode::Expired),
         (JobError::Panicked("boom".into()), WireCode::Panicked),
         (
-            JobError::ResourceExhausted(overflow()),
-            WireCode::ResourceExhausted,
-        ),
-        (
             JobError::InvalidConstraints(bad_constraints()),
             WireCode::UnsupportedConstraints,
         ),
@@ -153,10 +129,6 @@ fn every_error_variant_maps_to_a_documented_wire_code() {
     let solve_errors = [
         (SolveError::Cancelled, WireCode::Cancelled),
         (SolveError::Expired, WireCode::Expired),
-        (
-            SolveError::ResourceExhausted(overflow()),
-            WireCode::ResourceExhausted,
-        ),
         (
             SolveError::InvalidConstraints(bad_constraints()),
             WireCode::UnsupportedConstraints,
