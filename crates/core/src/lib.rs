@@ -61,10 +61,7 @@ pub mod subgradient;
 pub mod wire;
 
 pub use checkpoint::{SolverCheckpoint, CHECKPOINT_SCHEMA};
-pub use cover::{
-    ConstraintError, ConstraintKind, Constraints, GubGroup, Halt, HaltReason, ZddOptions,
-    ZddOverflow,
-};
+pub use cover::{ConstraintError, ConstraintKind, Constraints, GubGroup, Halt, HaltReason};
 pub use metrics::SolveMetrics;
 pub use request::{CancelFlag, Preset, SolveError, SolveRequest};
 pub use restart::{available_cores, restart_seed, splitmix64};

@@ -27,14 +27,13 @@ use crate::checkpoint::SolverCheckpoint;
 use crate::restart::CoreBudget;
 use crate::scg::{Scg, ScgOptions, ScgOutcome};
 use crate::subgradient::SubgradientOptions;
-use cover::{ConstraintError, Constraints, CoreOptions, CoverMatrix, GubGroup, ZddOptions};
+use cover::{ConstraintError, Constraints, CoverMatrix, GubGroup};
 use std::sync::Arc;
 use std::time::Duration;
 use ucp_telemetry::{Event, NoopProbe, Probe};
 
-// The cancellation primitive lives in `cover` (it is polled down inside
-// the implicit-reduction operation boundaries), re-exported here so the
-// solve API stays one import.
+// The cancellation primitive lives in `cover` (it is polled between the
+// reduction passes), re-exported here so the solve API stays one import.
 pub use cover::CancelFlag;
 
 /// Named option presets.
@@ -74,15 +73,6 @@ impl Preset {
     pub const ALL: [Preset; 3] = [Preset::Fast, Preset::Paper, Preset::Thorough];
 
     /// The full option set this preset names.
-    ///
-    /// Besides the heuristic knobs, each preset also selects ZDD kernel
-    /// tunables for the implicit phase (threaded through
-    /// [`CoreOptions::kernel`]): `Fast` shrinks the tables and collects
-    /// eagerly to keep many concurrent sweep solves memory-lean,
-    /// `Thorough` pre-sizes for hard instances and lets the store grow
-    /// further between collections. Kernel settings never change
-    /// results — only speed and memory — so every preset stays
-    /// bit-identical to itself across kernel revisions.
     pub fn options(self) -> ScgOptions {
         match self {
             Preset::Paper => ScgOptions::default(),
@@ -92,13 +82,6 @@ impl Preset {
                     max_iters: 120,
                     ..SubgradientOptions::default()
                 },
-                core: CoreOptions {
-                    kernel: ZddOptions::new()
-                        .unique_capacity(1 << 10)
-                        .cache_capacity(1 << 13)
-                        .gc_threshold(1 << 14),
-                    ..CoreOptions::default()
-                },
                 ..ScgOptions::default()
             },
             Preset::Thorough => ScgOptions {
@@ -107,13 +90,6 @@ impl Preset {
                 subgradient: SubgradientOptions {
                     max_iters: 600,
                     ..SubgradientOptions::default()
-                },
-                core: CoreOptions {
-                    kernel: ZddOptions::new()
-                        .unique_capacity(1 << 14)
-                        .cache_capacity(1 << 17)
-                        .gc_threshold(1 << 18),
-                    ..CoreOptions::default()
                 },
                 ..ScgOptions::default()
             },
@@ -152,10 +128,6 @@ impl std::str::FromStr for Preset {
 }
 
 /// Why [`Scg::run`] returned no outcome.
-///
-/// A ZDD node budget is not among the reasons: a solve that exhausts it
-/// falls back to the explicit reductions and reports
-/// [`ScgOutcome::degraded`](crate::ScgOutcome) instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolveError {
@@ -437,15 +409,6 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// ZDD kernel tunables for the implicit-reduction phase (unique
-    /// table and computed-cache sizing, GC schedule). Overrides whatever
-    /// the preset selected. Kernel settings never change the solver's
-    /// answer — only speed and memory.
-    pub fn kernel(mut self, kernel: ZddOptions) -> Self {
-        self.options.core.kernel = kernel;
-        self
-    }
-
     /// Trace-sampling stride for `SubgradientIter` events: emit one event
     /// every `n` ascent iterations instead of all of them (`0`/`1` =
     /// every iteration, the historical behaviour). Sampled ascents still
@@ -470,8 +433,7 @@ impl<'a> SolveRequest<'a> {
     /// Attaches a borrowed telemetry probe.
     ///
     /// The probe receives `PhaseBegin`/`PhaseEnd` pairs for every phase
-    /// of Fig. 2, one `SubgradientIter` per ascent iteration, a
-    /// `ZddKernel` counter snapshot after the implicit phase, and —
+    /// of Fig. 2, one `SubgradientIter` per ascent iteration, and —
     /// inside the constructive runs — `RestartBegin`/`RestartEnd`,
     /// `ColumnFix` and `PenaltyElim` events. When the restarts are
     /// pooled, per-task buffers are replayed into this probe in restart
@@ -599,9 +561,7 @@ impl Scg {
     /// * [`SolveError::InvalidConstraints`] when the request's
     ///   constraints do not fit the instance.
     ///
-    /// An exhausted node budget is not an error: the solve falls back to
-    /// the explicit reductions and sets [`ScgOutcome::degraded`]. A
-    /// request without a flag, deadline or constraints cannot fail.
+    /// A request without a flag, deadline or constraints cannot fail.
     ///
     /// # Example
     ///
@@ -729,43 +689,6 @@ mod tests {
         }
         assert!("warp".parse::<Preset>().is_err());
         assert_eq!("default".parse::<Preset>().unwrap(), Preset::Paper);
-    }
-
-    #[test]
-    fn presets_select_kernel_tunables() {
-        let fast = Preset::Fast.options().core.kernel;
-        let paper = Preset::Paper.options().core.kernel;
-        let thorough = Preset::Thorough.options().core.kernel;
-        assert_eq!(paper, ZddOptions::default());
-        assert!(fast.get_cache_capacity() < paper.get_cache_capacity());
-        assert!(paper.get_cache_capacity() < thorough.get_cache_capacity());
-        assert!(fast.get_gc_threshold() < thorough.get_gc_threshold());
-    }
-
-    #[test]
-    fn kernel_builder_overrides_preset_choice() {
-        let m = cycle(5);
-        let kernel = ZddOptions::new().cache_capacity(1 << 9).auto_gc(false);
-        let req = SolveRequest::for_matrix(&m)
-            .preset(Preset::Fast)
-            .kernel(kernel);
-        assert_eq!(req.opts().core.kernel, kernel);
-    }
-
-    #[test]
-    fn kernel_tunables_do_not_change_the_answer() {
-        let m = cycle(9);
-        let reference = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
-        for kernel in [
-            ZddOptions::new().unique_capacity(1).cache_capacity(1),
-            ZddOptions::new().gc_threshold(4).gc_ratio(1.1),
-            Preset::Thorough.options().core.kernel,
-        ] {
-            let out = Scg::run(SolveRequest::for_matrix(&m).kernel(kernel)).unwrap();
-            assert_eq!(out.cost, reference.cost);
-            assert_eq!(out.solution.cols(), reference.solution.cols());
-            assert_eq!(out.lower_bound, reference.lower_bound);
-        }
     }
 
     #[test]

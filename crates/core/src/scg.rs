@@ -8,9 +8,10 @@
 //! (they are theorems about `b ≡ 1` covers) and runs a chain of
 //! generalized ascents from jittered multipliers on the whole instance.
 //!
-//! A unate solve runs in two stages. The *reduce* stage — implicit + explicit
-//! reductions to the cyclic core, partitioning, and the initial subgradient
-//! ascent — is deterministic and runs exactly once per solve. The *restarts*
+//! A unate solve runs in two stages. The *reduce* stage — the duplicate-row
+//! merge and the explicit reductions to the cyclic core, partitioning, and
+//! the initial subgradient ascent — is deterministic and runs exactly once
+//! per solve. The *restarts*
 //! stage then executes the `NumIter` constructive runs, each repeatedly
 //! *fixing* columns — the provably-optimal ones from penalty tests, the
 //! "promising" ones from the §3.7 thresholds, and always one best-rated
@@ -39,8 +40,7 @@ use crate::subgradient::{
     ascent_impl, certified, lb_ceil_of, SubgradientOptions, SubgradientResult,
 };
 use cover::{
-    cyclic_core_halted, Constraints, CoreOptions, CoreResult, CoverMatrix, Halt, HaltReason,
-    Reducer, Solution,
+    cyclic_core_halted, Constraints, CoreResult, CoverMatrix, Halt, HaltReason, Reducer, Solution,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,8 +51,6 @@ use ucp_telemetry::{Event, FixReason, PenaltyKind, Phase, PhaseTimes, Probe};
 /// published values where given.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScgOptions {
-    /// Cyclic-core computation options (`MaxR`, `MaxC`, ZDD kernel).
-    pub core: CoreOptions,
     /// Subgradient-phase tunables.
     pub subgradient: SubgradientOptions,
     /// `NumIter`: number of constructive runs (first deterministic, rest
@@ -106,7 +104,6 @@ pub struct ScgOptions {
 impl Default for ScgOptions {
     fn default() -> Self {
         ScgOptions {
-            core: CoreOptions::default(),
             subgradient: SubgradientOptions::default(),
             num_iter: 4,
             best_col_growth: 1,
@@ -163,14 +160,10 @@ pub struct ScgOutcome {
     /// closely tracks `total_time`, and the `PhaseEnd` events of a trace
     /// add up to the same numbers.
     pub phase_times: PhaseTimes,
-    /// ZDD manager counters from the implicit reduction phase (all zero
-    /// when the merged matrix was within `MaxR`/`MaxC` and built no ZDD). The reduce stage runs once
-    /// per solve, so these are independent of the worker count.
+    /// ZDD manager counters of the solve. The reductions build no ZDD,
+    /// so these are always zero; the field stays for callers that
+    /// aggregate them next to the prime generator's counters.
     pub zdd_stats: cover::ZddStats,
-    /// `true` when the implicit phase exhausted its node budget and the
-    /// solve fell back to the explicit representation (the result is
-    /// still correct — only the reduction route changed).
-    pub degraded: bool,
     /// Telemetry events the request's trace sink failed to persist (0
     /// for in-memory probes and unprobed solves). Filled by
     /// [`Scg::run`](crate::Scg::run) from the probe after the solve.
@@ -347,14 +340,17 @@ impl Scg {
         let start = Instant::now();
         // One halt condition for the whole solve: every block and every
         // restart races the same clock and watches the same cancel flag.
-        // It reaches all the way into the implicit-reduction operation
-        // boundaries, so a deadline or cancellation lands mid-phase.
+        // The reductions poll it between their passes, so a deadline or
+        // cancellation lands mid-phase.
         let halt = Halt {
             deadline: self.opts.time_limit.map(|budget| start + budget),
             cancel: cancel.cloned(),
         };
         let multicover = !cons.is_unate();
         let mut phases = PhaseTimes::default();
+        // Each phase runs from the instant the previous one ended (see
+        // `lap`), so the phases tile the solve.
+        let mut clock = start;
 
         // ---- Reduce stage: reductions to the cyclic core (run once). ----
         // Essential-column, dominance and partitioning rules (and the
@@ -367,8 +363,10 @@ impl Scg {
             }
             None
         } else {
-            let core_res =
-                cyclic_core_halted(m, &self.opts.core, &halt, &mut *probe).map_err(halted)?;
+            let core_res = cyclic_core_halted(m, &halt, &mut *probe).map_err(halted)?;
+            // The core computation times itself; the next phase starts
+            // where its clock stopped.
+            clock += core_res.cc_time;
             phases.add(
                 Phase::ImplicitReduction,
                 core_res.implicit_time.as_secs_f64(),
@@ -392,8 +390,7 @@ impl Scg {
                     core_rows: core_res.core.num_rows(),
                     core_cols: core_res.core.num_cols(),
                     phase_times: phases,
-                    zdd_stats: core_res.zdd_stats,
-                    degraded: core_res.degraded,
+                    zdd_stats: cover::ZddStats::default(),
                     dropped_events: 0,
                     resumed: 0,
                 });
@@ -414,8 +411,7 @@ impl Scg {
                     core_rows: 0,
                     core_cols: 0,
                     phase_times: phases,
-                    zdd_stats: core_res.zdd_stats,
-                    degraded: core_res.degraded,
+                    zdd_stats: cover::ZddStats::default(),
                     dropped_events: 0,
                     resumed: 0,
                 });
@@ -426,9 +422,8 @@ impl Scg {
                 probe.record(Event::PhaseBegin {
                     phase: Phase::Partition,
                 });
-                let partition_start = Instant::now();
                 let blocks = cover::partition(&core_res.core);
-                let partition_time = partition_start.elapsed().as_secs_f64();
+                let partition_time = lap(&mut clock);
                 phases.add(Phase::Partition, partition_time);
                 probe.record(Event::PhaseEnd {
                     phase: Phase::Partition,
@@ -463,7 +458,7 @@ impl Scg {
         };
         let co = if multicover {
             let mctx = MulticoverCtx::new(m, cons);
-            self.multicover_core(m, &mctx, &halt, &ckpt, &mut *probe)
+            self.multicover_core(m, &mctx, &halt, &ckpt, &mut clock, &mut *probe)
         } else {
             self.solve_core(
                 core,
@@ -472,6 +467,7 @@ impl Scg {
                 0,
                 self.opts.workers,
                 Some(&ckpt),
+                &mut clock,
                 &mut *probe,
             )
         };
@@ -496,6 +492,7 @@ impl Scg {
             lower_bound,
             co.effort,
             start,
+            clock,
             phases,
             probe,
         ))
@@ -524,6 +521,7 @@ impl Scg {
         mctx: &MulticoverCtx,
         halt: &Halt,
         ckpt: &CkptCtx,
+        clock: &mut Instant,
         probe: &mut P,
     ) -> CoreOutcome {
         let integer_costs = m.integer_costs();
@@ -539,7 +537,6 @@ impl Scg {
         probe.record(Event::PhaseBegin {
             phase: Phase::Subgradient,
         });
-        let sub_start = Instant::now();
         let (mut sub_iters, mut best_lb, mut best_lambda, mut best, first_k);
         if let Some(ck) = ckpt.resume {
             sub_iters = 0;
@@ -606,7 +603,7 @@ impl Scg {
                 ckpt.emit(m, best_lb, &best, k + 1, &best_lambda, probe);
             }
         }
-        let sub_seconds = sub_start.elapsed().as_secs_f64();
+        let sub_seconds = lap(clock);
         probe.record(Event::PhaseEnd {
             phase: Phase::Subgradient,
             seconds: sub_seconds,
@@ -665,7 +662,17 @@ impl Scg {
             probe,
             |b, worker, probe| {
                 let block = &blocks[b].matrix;
-                Some(self.solve_core(block, block.integer_costs(), halt, worker, 1, None, probe))
+                let mut clock = Instant::now();
+                Some(self.solve_core(
+                    block,
+                    block.integer_costs(),
+                    halt,
+                    worker,
+                    1,
+                    None,
+                    &mut clock,
+                    probe,
+                ))
             },
             |_, mut co: CoreOutcome, events, share, probe| {
                 for event in events {
@@ -677,6 +684,8 @@ impl Scg {
                 true
             },
         );
+        // The recombination below is postprocess work.
+        let post_start = Instant::now();
 
         for (block, co) in blocks.iter().zip(&outcomes) {
             phases.add(Phase::Subgradient, co.sub_seconds);
@@ -705,6 +714,7 @@ impl Scg {
             lower_bound,
             effort,
             start,
+            post_start,
             phases,
             probe,
         )
@@ -725,6 +735,7 @@ impl Scg {
         worker_tag: usize,
         workers: usize,
         ckpt: Option<&CkptCtx>,
+        clock: &mut Instant,
         probe: &mut P,
     ) -> CoreOutcome {
         // ---- Initial subgradient ascent (deterministic, run once). ----
@@ -733,9 +744,8 @@ impl Scg {
         probe.record(Event::PhaseBegin {
             phase: Phase::Subgradient,
         });
-        let sub_start = Instant::now();
         let sub0 = ascent_impl(ae, &sub_opts, None, None, None, &mut *probe);
-        let sub_time = sub_start.elapsed().as_secs_f64();
+        let sub_time = lap(clock);
         probe.record(Event::PhaseEnd {
             phase: Phase::Subgradient,
             seconds: sub_time,
@@ -781,7 +791,6 @@ impl Scg {
             probe.record(Event::PhaseBegin {
                 phase: Phase::Constructive,
             });
-            let stage_start = Instant::now();
             pool = self.run_restarts(
                 ae,
                 &sub0,
@@ -797,10 +806,10 @@ impl Scg {
                 probe,
             );
             // The stage's wall clock net of the runs' ascents: the
-            // constructive work, the in-order hand-backs (merging, trace
-            // replay, checkpoints) and, when pooled, spawn and join.
-            constructive_seconds =
-                (stage_start.elapsed().as_secs_f64() - restarts.sub_seconds).max(0.0);
+            // incumbent set-up above, the constructive work, the in-order
+            // hand-backs (merging, trace replay, checkpoints) and, when
+            // pooled, spawn and join.
+            constructive_seconds = (lap(clock) - restarts.sub_seconds).max(0.0);
             probe.record(Event::PhaseEnd {
                 phase: Phase::Constructive,
                 seconds: constructive_seconds,
@@ -1046,7 +1055,9 @@ impl Scg {
 
             // Re-reduce with the fixes applied.
             let mut red = Reducer::with_state(&cur, &take, &exclude);
-            red.reduce_to_fixpoint();
+            if red.reduce_to_fixpoint(ctx.halt).is_err() {
+                return report; // the solve halted mid-reduction: incumbent stands
+            }
             if red.infeasible() {
                 return report; // exclusions killed the branch: incumbent stands
             }
@@ -1107,6 +1118,17 @@ impl Scg {
     }
 }
 
+/// Seconds from `*clock` to now, moving `*clock` to now. Phases timed
+/// this way tile the wall clock: each starts at the instant the previous
+/// one ended, and the set-up between them counts toward the phase that
+/// ends next.
+fn lap(clock: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let seconds = (now - *clock).as_secs_f64();
+    *clock = now;
+    seconds
+}
+
 /// The solve error for a halt that fired before there was anything to
 /// return.
 fn halted(reason: HaltReason) -> SolveError {
@@ -1122,6 +1144,11 @@ fn halted(reason: HaltReason) -> SolveError {
 /// solution), and certifies it against `lower_bound` under integer
 /// costs. `reduced` is the reduce stage's result; a multicover solve
 /// skips that stage and reports the whole instance as its core.
+///
+/// The phase runs from `post_start`, the instant the core stage ended,
+/// so the caller's assembly of `solution` (lifting it to original
+/// indices) counts as postprocess too; the solve's `total_time` ends
+/// with it.
 #[allow(clippy::too_many_arguments)]
 fn postprocess<P: Probe>(
     m: &CoverMatrix,
@@ -1130,13 +1157,13 @@ fn postprocess<P: Probe>(
     lower_bound: f64,
     effort: Effort,
     start: Instant,
+    post_start: Instant,
     mut phases: PhaseTimes,
     probe: &mut P,
 ) -> ScgOutcome {
     probe.record(Event::PhaseBegin {
         phase: Phase::Postprocess,
     });
-    let post_start = Instant::now();
     let (solution, cost) = match solution {
         Some(sol) => {
             let cost = sol.cost(m);
@@ -1145,7 +1172,8 @@ fn postprocess<P: Probe>(
         None => (Solution::new(), f64::INFINITY),
     };
     let proven_optimal = m.integer_costs() && cost <= lower_bound + 1e-9;
-    let post_time = post_start.elapsed().as_secs_f64();
+    let end = Instant::now();
+    let post_time = (end - post_start).as_secs_f64();
     phases.add(Phase::Postprocess, post_time);
     probe.record(Event::PhaseEnd {
         phase: Phase::Postprocess,
@@ -1162,12 +1190,11 @@ fn postprocess<P: Probe>(
         subgradient_iterations: effort.sub_iters,
         restart_workers: effort.workers,
         cc_time: reduced.map_or(Duration::ZERO, |r| r.cc_time),
-        total_time: start.elapsed(),
+        total_time: end - start,
         core_rows: core.num_rows(),
         core_cols: core.num_cols(),
         phase_times: phases,
-        zdd_stats: reduced.map_or_else(cover::ZddStats::default, |r| r.zdd_stats),
-        degraded: reduced.is_some_and(|r| r.degraded),
+        zdd_stats: cover::ZddStats::default(),
         dropped_events: 0,
         resumed: effort.resumed,
     }

@@ -295,9 +295,6 @@ pub struct JobSpec {
     /// Wall-clock budget for the whole job (queue wait included when it
     /// runs through the engine). Millisecond precision on the wire.
     pub deadline: Option<Duration>,
-    /// ZDD node budget for the implicit phase (see
-    /// [`crate::ZddOptions::node_budget`]; values below 16 clamp to 16).
-    pub node_budget: Option<usize>,
     /// Trace-sampling stride for `subgradient_iter` events.
     pub trace_every: Option<usize>,
     /// `NumIter` override: constructive runs.
@@ -340,9 +337,6 @@ impl JobSpec {
         }
         if let Some(d) = self.deadline {
             opts.time_limit = Some(d);
-        }
-        if let Some(n) = self.node_budget {
-            opts.core.kernel = opts.core.kernel.node_budget(n);
         }
         if let Some(n) = self.trace_every {
             opts.subgradient.trace_every = n;
@@ -392,14 +386,14 @@ impl JobSpec {
     /// from_request(to_request(from_request(to_request(s))))`).
     ///
     /// The constraint fields are copied independently of the preset
-    /// detection (which keys on the kernel signature): a multicover
-    /// request never round-trips into a silently-unate spec.
+    /// detection: a multicover request never round-trips into a
+    /// silently-unate spec.
     ///
     /// # Errors
     ///
     /// [`SpecUnrepresentable`] when the request tunes a knob the wire
-    /// format does not carry (e.g. a hand-built kernel sizing or a
-    /// non-default `t0`): refusing loudly beats silently dropping the
+    /// format does not carry (e.g. a non-default `t0`): refusing loudly
+    /// beats silently dropping the
     /// setting on the floor.
     pub fn from_request(req: &SolveRequest<'_>) -> Result<JobSpec, SpecUnrepresentable> {
         let mut spec = Self::from_options(req.opts())?;
@@ -411,26 +405,19 @@ impl JobSpec {
     }
 
     /// [`JobSpec::from_request`] on a bare option set.
+    ///
+    /// The spec names the preset whose options equal `opts` exactly, and
+    /// [`Preset::Paper`] otherwise; every covered field is explicit
+    /// either way, so the options round-trip identically and each
+    /// preset's own options round-trip to that preset.
     pub fn from_options(opts: &ScgOptions) -> Result<JobSpec, SpecUnrepresentable> {
-        let nb = opts.core.kernel.get_node_budget();
-        let node_budget = (nb != usize::MAX).then_some(nb);
-        // The preset is identified by the kernel sizing, which is the
-        // only preset-varying knob a spec cannot override directly.
         let preset = Preset::ALL
             .into_iter()
-            .find(|p| {
-                let mut kernel = p.options().core.kernel;
-                if let Some(n) = node_budget {
-                    kernel = kernel.node_budget(n);
-                }
-                kernel == opts.core.kernel
-            })
-            .ok_or(SpecUnrepresentable {
-                field: "core.kernel",
-            })?;
+            .find(|p| p.options() == *opts)
+            .unwrap_or(Preset::Paper);
         // Every field the spec does not carry must sit at the preset's
-        // value (presets only vary the covered knobs plus the kernel, so
-        // comparing against the detected preset is exact).
+        // value (presets only vary the covered knobs, so comparing
+        // against any preset is exact).
         let base = preset.options();
         let check = |same: bool, field: &'static str| {
             if same {
@@ -448,8 +435,6 @@ impl JobSpec {
             "fix_mu_threshold",
         )?;
         check(opts.dual_pen_limit == base.dual_pen_limit, "dual_pen_limit")?;
-        check(opts.core.max_rows == base.core.max_rows, "core.max_rows")?;
-        check(opts.core.max_cols == base.core.max_cols, "core.max_cols")?;
         let (s, b) = (&opts.subgradient, &base.subgradient);
         check(s.t0 == b.t0, "subgradient.t0")?;
         check(
@@ -482,7 +467,6 @@ impl JobSpec {
             workers: Some(opts.workers),
             seed: Some(opts.seed),
             deadline: opts.time_limit,
-            node_budget,
             trace_every: Some(opts.subgradient.trace_every),
             num_iter: Some(opts.num_iter),
             best_col_growth: Some(opts.best_col_growth),
@@ -519,9 +503,6 @@ impl JobSpec {
         if let Some(v) = self.deadline {
             o.field_u64("deadline_ms", v.as_millis() as u64);
         }
-        if let Some(v) = self.node_budget {
-            o.field_u64("node_budget", v as u64);
-        }
         if let Some(v) = self.trace_every {
             o.field_u64("trace_every", v as u64);
         }
@@ -553,9 +534,10 @@ impl JobSpec {
     /// silently ignored would be a debugging trap), as are non-integral
     /// or out-of-range numbers.
     ///
-    /// The retired boolean keys `use_implicit` and `degrade` are accepted
-    /// and ignored: older journals carry them in every `Submitted`
-    /// record, and input size now picks the reduction route.
+    /// Retired keys are accepted and ignored, so every `Submitted` record
+    /// an older journal holds still replays: the booleans `use_implicit`
+    /// and `degrade`, and the non-negative integer `node_budget` (the
+    /// reductions build no ZDD any more).
     pub fn from_json_value(v: &JsonValue) -> Result<JobSpec, WireError> {
         let JsonValue::Obj(members) = v else {
             return Err(WireError::invalid("spec must be a JSON object"));
@@ -575,7 +557,6 @@ impl JobSpec {
                 "deadline_ms" => {
                     spec.deadline = Some(Duration::from_millis(as_u64(value, "deadline_ms")?));
                 }
-                "node_budget" => spec.node_budget = Some(as_usize(value, "node_budget")?),
                 "trace_every" => spec.trace_every = Some(as_usize(value, "trace_every")?),
                 "num_iter" => spec.num_iter = Some(as_usize(value, "num_iter")?),
                 "best_col_growth" => {
@@ -593,6 +574,9 @@ impl JobSpec {
                 }
                 "use_implicit" | "degrade" => {
                     as_bool(value, key)?;
+                }
+                "node_budget" => {
+                    as_u64(value, key)?;
                 }
                 "partition" => spec.partition = Some(as_bool(value, "partition")?),
                 "coverage" => spec.coverage = Some(coverage_from_json(value)?),
@@ -1000,7 +984,6 @@ pub struct JobResultDto {
     pub columns: Vec<usize>,
     pub iterations: usize,
     pub subgradient_iterations: usize,
-    pub degraded: bool,
     pub total_seconds: f64,
     pub core_rows: usize,
     pub core_cols: usize,
@@ -1017,7 +1000,6 @@ impl JobResultDto {
             columns: out.solution.cols().to_vec(),
             iterations: out.iterations,
             subgradient_iterations: out.subgradient_iterations,
-            degraded: out.degraded,
             total_seconds: out.total_time.as_secs_f64(),
             core_rows: out.core_rows,
             core_cols: out.core_cols,
@@ -1041,13 +1023,15 @@ impl JobResultDto {
         o.field_raw("columns", &cols);
         o.field_u64("iterations", self.iterations as u64);
         o.field_u64("subgradient_iterations", self.subgradient_iterations as u64);
-        o.field_bool("degraded", self.degraded);
         o.field_f64("total_seconds", self.total_seconds);
         o.field_u64("core_rows", self.core_rows as u64);
         o.field_u64("core_cols", self.core_cols as u64);
         o.finish()
     }
 
+    /// Decodes a result object. Keys it does not know are ignored, so
+    /// results written by older versions still decode: among them the
+    /// retired `degraded` flag.
     pub fn from_json_value(v: &JsonValue) -> Result<JobResultDto, WireError> {
         let num = |k: &str| {
             v.get(k)
@@ -1070,7 +1054,6 @@ impl JobResultDto {
             columns,
             iterations: num("iterations").unwrap_or(0.0) as usize,
             subgradient_iterations: num("subgradient_iterations").unwrap_or(0.0) as usize,
-            degraded: flag("degraded"),
             total_seconds: num("total_seconds").unwrap_or(0.0),
             core_rows: num("core_rows").unwrap_or(0.0) as usize,
             core_cols: num("core_cols").unwrap_or(0.0) as usize,
@@ -1187,7 +1170,6 @@ mod tests {
         rich.workers = Some(3);
         rich.seed = Some(42);
         rich.deadline = Some(Duration::from_millis(1500));
-        rich.node_budget = Some(4096);
         rich.trace_every = Some(25);
         rich.num_iter = Some(2);
         rich.best_col_growth = Some(3);
@@ -1197,7 +1179,6 @@ mod tests {
         specs.push(rich);
         let mut partial = JobSpec::new(Preset::Paper);
         partial.seed = Some(9);
-        partial.node_budget = Some(100_000);
         specs.push(partial);
         let mut multicover = JobSpec::new(Preset::Fast);
         multicover.coverage = Some(vec![2, 1, 1, 2, 1]);
@@ -1228,12 +1209,20 @@ mod tests {
     }
 
     #[test]
+    fn each_preset_round_trips_to_itself() {
+        for preset in Preset::ALL {
+            let spec = JobSpec::from_options(&preset.options()).unwrap();
+            assert_eq!(spec.preset, preset);
+            assert_eq!(spec.options(), preset.options());
+        }
+    }
+
+    #[test]
     fn every_spec_field_survives_the_round_trip() {
         let mut spec = JobSpec::new(Preset::Thorough);
         spec.workers = Some(2);
         spec.seed = Some(7);
         spec.deadline = Some(Duration::from_secs(3));
-        spec.node_budget = Some(999);
         spec.trace_every = Some(10);
         spec.num_iter = Some(5);
         spec.best_col_growth = Some(4);
@@ -1241,11 +1230,13 @@ mod tests {
         spec.max_ascent_iters = Some(123);
         spec.partition = Some(true);
         let r = JobSpec::from_options(&spec.options()).unwrap();
-        assert_eq!(r.preset, Preset::Thorough);
+        // Overridden options equal no preset's, so they are named as
+        // Paper plus explicit overrides.
+        assert_eq!(r.preset, Preset::Paper);
+        assert_eq!(r.options(), spec.options());
         assert_eq!(r.workers, Some(2));
         assert_eq!(r.seed, Some(7));
         assert_eq!(r.deadline, Some(Duration::from_secs(3)));
-        assert_eq!(r.node_budget, Some(999));
         assert_eq!(r.trace_every, Some(10));
         assert_eq!(r.num_iter, Some(5));
         assert_eq!(r.best_col_growth, Some(4));
@@ -1268,8 +1259,15 @@ mod tests {
         let err = JobSpec::parse(r#"{"preset":"fast","warp_factor":9}"#).unwrap_err();
         assert_eq!(err.code, WireCode::InvalidSpec);
         assert!(err.message.contains("warp_factor"), "{err}");
-        // Only the two retired keys are let through, not their neighbours.
-        for key in ["implicit", "use_implicit_phase", "degraded", "Degrade"] {
+        // Only the retired keys are let through, not their neighbours.
+        for key in [
+            "implicit",
+            "use_implicit_phase",
+            "degraded",
+            "Degrade",
+            "node_budgets",
+            "kernel",
+        ] {
             let err = JobSpec::parse(&format!(r#"{{"{key}":false}}"#)).unwrap_err();
             assert_eq!(err.code, WireCode::InvalidSpec, "{key}");
             assert!(err.message.contains(key), "{err}");
@@ -1287,9 +1285,28 @@ mod tests {
         assert_eq!(spec, JobSpec::parse(current).unwrap());
         assert_eq!(spec.to_json(), current);
         assert_eq!(spec.options(), Preset::Paper.options());
-        // A retired key must still hold a boolean.
-        let err = JobSpec::parse(r#"{"degrade":"no"}"#).unwrap_err();
-        assert_eq!(err.code, WireCode::InvalidSpec);
+        // As `to_json` wrote a spec with a node budget; the budget is
+        // ignored too.
+        let budgeted = r#"{"preset":"paper","workers":0,"seed":3665698816,"node_budget":4096,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"partition":true}"#;
+        let spec = JobSpec::parse(budgeted).unwrap();
+        assert_eq!(spec, JobSpec::parse(current).unwrap());
+        assert_eq!(spec.to_json(), current);
+        // A retired key must still hold a value of its old type.
+        for body in [
+            r#"{"degrade":"no"}"#,
+            r#"{"node_budget":-1}"#,
+            r#"{"node_budget":1.5}"#,
+            r#"{"node_budget":true}"#,
+        ] {
+            let err = JobSpec::parse(body).unwrap_err();
+            assert_eq!(err.code, WireCode::InvalidSpec, "{body}");
+        }
+        // A result as the old encoder wrote it, `degraded` flag included,
+        // decodes to the result the current encoder writes without it.
+        let old = r#"{"cost":2,"lower_bound":2,"proven_optimal":true,"infeasible":false,"columns":[0,1],"iterations":0,"subgradient_iterations":32,"degraded":true,"total_seconds":0.000125,"core_rows":3,"core_cols":3}"#;
+        let new = r#"{"cost":2,"lower_bound":2,"proven_optimal":true,"infeasible":false,"columns":[0,1],"iterations":0,"subgradient_iterations":32,"total_seconds":0.000125,"core_rows":3,"core_cols":3}"#;
+        let decoded = JobResultDto::from_json_value(&parse_json(old).unwrap()).unwrap();
+        assert_eq!(decoded.to_json(), new);
     }
 
     #[test]
@@ -1307,12 +1324,6 @@ mod tests {
 
     #[test]
     fn unrepresentable_options_are_refused_loudly() {
-        let mut custom_kernel = ScgOptions::default();
-        custom_kernel.core.kernel = crate::ZddOptions::new().unique_capacity(12345);
-        assert_eq!(
-            JobSpec::from_options(&custom_kernel).unwrap_err().field,
-            "core.kernel"
-        );
         let mut custom_t0 = ScgOptions::default();
         custom_t0.subgradient.t0 = 17.0;
         assert_eq!(
@@ -1433,8 +1444,8 @@ mod tests {
         let req = spec.to_request(Arc::clone(&m));
         assert!(!req.constraint_set().is_unate());
         let recovered = JobSpec::from_request(&req).expect("representable");
-        // The preset detection keys on the kernel signature; the
-        // constraint fields must survive independently of it.
+        // The constraint fields must survive independently of the
+        // preset detection.
         assert_eq!(recovered.preset, Preset::Paper);
         assert_eq!(recovered.coverage, Some(vec![2; 5]));
         assert!(!recovered.constraints().is_unate());

@@ -1,13 +1,13 @@
-//! Governed-mode halt latency: with a failpoint stalling every implicit
-//! op boundary, a deadline or a cancel raised mid-reduction must surface
-//! as [`SolveError::Expired`] / [`SolveError::Cancelled`] within one op
-//! boundary — the solve never ploughs on through a dead budget.
+//! Governed-mode halt latency: with a failpoint stalling every pass of
+//! the reductions, a deadline or a cancel raised mid-reduction must
+//! surface as [`SolveError::Expired`] / [`SolveError::Cancelled`] within
+//! one pass — the solve never ploughs on through a dead budget.
 
 #![cfg(feature = "failpoints")]
 
 use std::time::{Duration, Instant};
 
-use ucp_core::{CancelFlag, Scg, ScgOptions, SolveError, SolveRequest};
+use ucp_core::{CancelFlag, Scg, SolveError, SolveRequest};
 use ucp_failpoints::{configure, FailConfig, FailScenario};
 
 fn cyclic(n: usize) -> cover::CoverMatrix {
@@ -17,40 +17,27 @@ fn cyclic(n: usize) -> cover::CoverMatrix {
     cover::CoverMatrix::from_rows(n, rows)
 }
 
-/// `cyclic(12)` is within MaxR/MaxC, which skips the ZDD; MaxR = MaxC = 0
-/// sends it through the implicit phase and its failpoint.
-fn implicit_options() -> ScgOptions {
-    let mut opts = ScgOptions::default();
-    opts.core.max_rows = 0;
-    opts.core.max_cols = 0;
-    opts
-}
-
 #[test]
-fn deadline_mid_implicit_expires_within_one_op_boundary() {
+fn deadline_mid_reduction_expires_within_one_pass() {
     let _scenario = FailScenario::setup();
-    configure("cover::implicit_op", FailConfig::sleep_ms(100));
+    configure("cover::reduce_pass", FailConfig::sleep_ms(100));
     let m = cyclic(12);
     let started = Instant::now();
-    let res = Scg::run(
-        SolveRequest::for_matrix(&m)
-            .options(implicit_options())
-            .deadline(Duration::from_millis(30)),
-    );
+    let res = Scg::run(SolveRequest::for_matrix(&m).deadline(Duration::from_millis(30)));
     let elapsed = started.elapsed();
     assert_eq!(res.unwrap_err(), SolveError::Expired);
-    // Budget (30ms) + at most one stalled op (100ms) + slack. If halt
-    // checks were skipped between ops this would run for seconds.
+    // Budget (30ms) + at most one stalled pass (100ms) + slack. If halt
+    // checks were skipped between passes this would run for seconds.
     assert!(
         elapsed < Duration::from_millis(1500),
-        "expiry took {elapsed:?}; halt not checked at op boundaries?"
+        "expiry took {elapsed:?}; halt not checked between passes?"
     );
 }
 
 #[test]
-fn cancel_mid_implicit_aborts_within_one_op_boundary() {
+fn cancel_mid_reduction_aborts_within_one_pass() {
     let _scenario = FailScenario::setup();
-    configure("cover::implicit_op", FailConfig::sleep_ms(50));
+    configure("cover::reduce_pass", FailConfig::sleep_ms(50));
     let m = cyclic(12);
     let flag = CancelFlag::new();
     let canceller = {
@@ -61,16 +48,12 @@ fn cancel_mid_implicit_aborts_within_one_op_boundary() {
         })
     };
     let started = Instant::now();
-    let res = Scg::run(
-        SolveRequest::for_matrix(&m)
-            .options(implicit_options())
-            .cancel(&flag),
-    );
+    let res = Scg::run(SolveRequest::for_matrix(&m).cancel(&flag));
     let elapsed = started.elapsed();
     canceller.join().unwrap();
     assert_eq!(res.unwrap_err(), SolveError::Cancelled);
     assert!(
         elapsed < Duration::from_millis(1500),
-        "cancel took {elapsed:?}; halt not checked at op boundaries?"
+        "cancel took {elapsed:?}; halt not checked between passes?"
     );
 }

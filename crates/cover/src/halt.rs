@@ -2,11 +2,10 @@
 //!
 //! A [`Halt`] bundles an optional wall-clock deadline with an optional
 //! shared [`CancelFlag`]. Long-running phases poll it at their
-//! operation boundaries — in particular the implicit-reduction passes
-//! of [`ImplicitMatrix`](crate::ImplicitMatrix), whose individual ZDD
-//! operations can run for seconds on hard instances — so a deadline or
-//! a cancellation lands *mid-phase*, within one operation boundary, not
-//! just between phases.
+//! operation boundaries — in particular between the passes of
+//! [`Reducer::reduce_to_fixpoint`](crate::Reducer::reduce_to_fixpoint)
+//! — so a deadline or a cancellation lands *mid-phase*, within one
+//! pass, not just between phases.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use std::time::Instant;
 /// Cloning is cheap (an `Arc` bump); every clone observes the same
 /// flag. The solver polls the flag at its operation/round boundaries —
 /// the same points where it polls the deadline — so cancellation lands
-/// within one implicit operation or constructive round.
+/// within one reduction pass or constructive round.
 #[derive(Clone, Debug, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 

@@ -1,6 +1,7 @@
 //! Explicit reductions: essential columns, row dominance, column dominance,
 //! iterated to a fixpoint (the `Explicit_Reductions` step of Fig. 2).
 
+use crate::halt::{Halt, HaltReason};
 use crate::matrix::CoverMatrix;
 
 /// Counters describing what a reduction pass achieved.
@@ -26,10 +27,10 @@ pub struct ReductionStats {
 /// # Example
 ///
 /// ```
-/// use cover::{CoverMatrix, Reducer};
+/// use cover::{CoverMatrix, Halt, Reducer};
 /// let m = CoverMatrix::from_rows(3, vec![vec![0], vec![0, 1], vec![1, 2]]);
 /// let mut r = Reducer::new(&m);
-/// r.reduce_to_fixpoint();
+/// r.reduce_to_fixpoint(&Halt::none()).unwrap();
 /// assert_eq!(r.fixed(), &[0, 1]); // col 0 essential, then col 1 by cascade
 /// ```
 #[derive(Clone, Debug)]
@@ -302,16 +303,25 @@ impl<'a> Reducer<'a> {
 
     /// Iterates essential / row-dominance / column-dominance passes until
     /// none of them changes the matrix.
-    pub fn reduce_to_fixpoint(&mut self) -> ReductionStats {
+    ///
+    /// `halt` is polled before every pass, so a deadline or a
+    /// cancellation stops the reduction within one pass; the matrix is
+    /// then left partly reduced. Callers without a deadline pass
+    /// [`Halt::none`], which never fires.
+    pub fn reduce_to_fixpoint(&mut self, halt: &Halt) -> Result<ReductionStats, HaltReason> {
         loop {
+            // Lets tests stall here to prove a halt lands within one pass.
+            ucp_failpoints::fail_point!("cover::reduce_pass");
+            if let Some(reason) = halt.check() {
+                return Err(reason);
+            }
             self.stats.passes += 1;
             let changed =
                 self.essential_pass() + self.row_dominance_pass() + self.col_dominance_pass();
             if changed == 0 {
-                break;
+                return Ok(self.stats);
             }
         }
-        self.stats
     }
 
     /// Extracts the residual active submatrix (the cyclic core when called
@@ -400,7 +410,7 @@ mod tests {
         // Fixing col 0 covers row 1, leaving row 2 covered only by col 2.
         let m = CoverMatrix::from_rows(3, vec![vec![0], vec![0, 1], vec![1, 2]]);
         let mut r = Reducer::new(&m);
-        r.reduce_to_fixpoint();
+        r.reduce_to_fixpoint(&Halt::none()).unwrap();
         // After col 0 fixed, row 2 has cols {1,2}; col 1 covers {2}, col 2
         // covers {2} — they dominate each other, one remains, becomes
         // essential.
@@ -461,7 +471,7 @@ mod tests {
             vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
         );
         let mut r = Reducer::new(&m);
-        let stats = r.reduce_to_fixpoint();
+        let stats = r.reduce_to_fixpoint(&Halt::none()).unwrap();
         assert_eq!(stats.essential_cols, 0);
         assert_eq!(stats.dominated_rows, 0);
         assert_eq!(stats.dominated_cols, 0);

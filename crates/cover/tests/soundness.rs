@@ -1,7 +1,7 @@
 //! Reduction soundness: the cyclic core plus its fixed columns preserves the
 //! optimal cost of the original instance (checked against brute force).
 
-use cover::{cyclic_core, CoreOptions, CoverMatrix, Reducer, Solution};
+use cover::{cyclic_core, CoverMatrix, Halt, Reducer, Solution};
 use proptest::prelude::*;
 
 /// Exhaustive optimum for tiny instances (≤ 16 columns).
@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn core_preserves_optimum(m in instance_strategy()) {
         let orig = brute_force(&m).expect("instances are coverable");
-        let res = cyclic_core(&m, &CoreOptions::default());
+        let res = cyclic_core(&m);
         prop_assert!(!res.infeasible);
         let fixed_cost: f64 = res.fixed_cols.iter().map(|&j| m.cost(j)).sum();
         let core_opt = if res.core.num_rows() == 0 {
@@ -64,7 +64,7 @@ proptest! {
     fn explicit_reducer_preserves_optimum(m in instance_strategy()) {
         let orig = brute_force(&m).expect("coverable");
         let mut r = Reducer::new(&m);
-        r.reduce_to_fixpoint();
+        r.reduce_to_fixpoint(&Halt::none()).unwrap();
         prop_assert!(!r.infeasible());
         let (core, _rm, col_map) = r.extract_core();
         let fixed_cost: f64 = r.fixed().iter().map(|&j| m.cost(j)).sum();
@@ -86,7 +86,7 @@ proptest! {
     fn fixed_columns_are_part_of_some_optimum(m in instance_strategy()) {
         // Weaker but direct: solving the core then adding fixed columns is
         // feasible for the original problem.
-        let res = cyclic_core(&m, &CoreOptions::default());
+        let res = cyclic_core(&m);
         prop_assume!(!res.infeasible);
         // Cover the core greedily (any feasible core cover suffices here).
         let mut core_sol = Solution::new();

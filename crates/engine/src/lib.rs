@@ -129,11 +129,6 @@ pub struct EngineStats {
     pub expired: u64,
     /// Jobs that resolved to [`JobError::Panicked`].
     pub panicked: u64,
-    /// Completed jobs whose solve exhausted its ZDD node budget and fell
-    /// back to the explicit reductions in-process (their outcome's
-    /// `degraded` flag is set). A subset of `completed`: a node budget
-    /// never fails a job.
-    pub degraded: u64,
     /// Queued jobs aborted to [`JobError::Shutdown`] by
     /// [`Engine::shutdown_now`] / [`Engine::abort_queued`] without
     /// running.
@@ -200,7 +195,6 @@ struct Counters {
     cancelled: Arc<Counter>,
     expired: Arc<Counter>,
     panicked: Arc<Counter>,
-    degraded: Arc<Counter>,
     /// Queued jobs aborted to [`JobError::Shutdown`] without running.
     aborted: Arc<Counter>,
     /// Completed jobs that warm-started from a journaled checkpoint.
@@ -242,10 +236,6 @@ impl Counters {
             panicked: registry.counter(
                 "ucp_engine_jobs_panicked_total",
                 "Jobs whose solve panicked (isolated per job)",
-            ),
-            degraded: registry.counter(
-                "ucp_engine_jobs_degraded_total",
-                "Jobs that fell back to the explicit representation",
             ),
             aborted: registry.counter(
                 "ucp_engine_jobs_aborted_total",
@@ -581,7 +571,6 @@ impl Engine {
             cancelled: c.cancelled.get(),
             expired: c.expired.get(),
             panicked: c.panicked.get(),
-            degraded: c.degraded.get(),
             aborted: c.aborted.get(),
             resumed: c.resumed.get(),
             queued,
@@ -592,8 +581,8 @@ impl Engine {
     /// The engine's metrics registry. Live for the engine's whole life,
     /// so a `/metrics` endpoint can hold the `Arc` and render
     /// [`Registry::render_prometheus`] on every scrape — engine
-    /// scheduling families (`ucp_engine_*`), per-solve solver families
-    /// (`ucp_core_*`) and kernel families (`ucp_zdd_*`) included.
+    /// scheduling families (`ucp_engine_*`) and per-solve solver families
+    /// (`ucp_core_*`) included.
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.registry)
     }
@@ -737,7 +726,6 @@ fn worker_loop(shared: &Shared) {
             &job.cancel,
             job.deadline_at,
             shared.journal.as_ref().map(|j| (Arc::clone(j), job.id.0)),
-            &shared.counters,
         );
         shared
             .counters
@@ -789,7 +777,6 @@ fn run_job(
     cancel: &CancelFlag,
     deadline_at: Option<SystemTime>,
     journal: Option<(Arc<Journal>, u64)>,
-    counters: &Counters,
 ) -> JobResult {
     ucp_failpoints::fail_point!("engine::job", |payload: String| Err(JobError::Panicked(
         payload
@@ -828,12 +815,7 @@ fn run_job(
         });
     }
     match catch_unwind(AssertUnwindSafe(move || Scg::run(request))) {
-        Ok(Ok(outcome)) => {
-            if outcome.degraded {
-                counters.degraded.inc();
-            }
-            Ok(outcome)
-        }
+        Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(SolveError::Cancelled)) => Err(JobError::Cancelled),
         Ok(Err(SolveError::Expired)) => Err(JobError::Expired),
         Ok(Err(SolveError::InvalidConstraints(e))) => Err(JobError::InvalidConstraints(e)),
@@ -1054,40 +1036,6 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!(stats.expired, 1);
         assert_eq!(stats.cancelled, 1);
-    }
-
-    #[test]
-    fn starved_job_degrades_in_process() {
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            queue_capacity: 4,
-        });
-        // A 12-cycle plus chords: encoding it needs well over 16 ZDD
-        // nodes, so the tiny budget trips and the solve falls back to the
-        // explicit reductions.
-        let n = 12usize;
-        let mut rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
-        rows.push((0..n).step_by(2).collect());
-        rows.push((0..n).step_by(3).collect());
-        let m = Arc::new(CoverMatrix::from_rows(n, rows));
-        // Within MaxR/MaxC the default options take the explicit route.
-        let baseline = Scg::run(SolveRequest::for_shared(Arc::clone(&m))).unwrap();
-        // MaxR = MaxC = 0 sends the matrix through the implicit phase.
-        let mut starved = ucp_core::ScgOptions::default();
-        starved.core.max_rows = 0;
-        starved.core.max_cols = 0;
-        starved.core.kernel = starved.core.kernel.node_budget(16);
-        let job = engine
-            .submit(SolveRequest::for_shared(Arc::clone(&m)).options(starved))
-            .unwrap();
-        let out = job
-            .wait()
-            .expect("a starved solve degrades, it never fails");
-        assert!(out.degraded);
-        assert_eq!(out.cost, baseline.cost);
-        let stats = engine.shutdown();
-        assert_eq!(stats.degraded, 1);
-        assert_eq!(stats.completed, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Engine chaos: a mixed batch of healthy, budget-starved, panicking,
-//! pre-cancelled and already-expired jobs, with a failpoint stalling the
-//! implicit reductions to shuffle worker timing. Every job must resolve
+//! Engine chaos: a mixed batch of healthy, panicking, pre-cancelled and
+//! already-expired jobs, with a failpoint stalling the reduction passes
+//! to shuffle worker timing. Every job must resolve
 //! to its own failure mode without contaminating a neighbour, and
 //! [`EngineStats`] must reconcile exactly with the batch composition.
 
@@ -27,8 +27,7 @@ fn cycle(n: usize) -> cover::CoverMatrix {
     cover::CoverMatrix::from_rows(n, (0..n).map(|i| vec![i, (i + 1) % n]).collect())
 }
 
-/// 12-cycle plus chords: encoding it needs well over 16 ZDD nodes, so a
-/// 16-node budget forces the solve's in-process explicit fallback.
+/// 12-cycle plus chords: a core the reductions leave cyclic.
 fn hard_matrix() -> cover::CoverMatrix {
     let n = 12usize;
     let mut rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
@@ -40,36 +39,24 @@ fn hard_matrix() -> cover::CoverMatrix {
 #[test]
 fn mixed_chaos_batch_reconciles_exactly() {
     let _scenario = FailScenario::setup();
-    // Stall the first 16 implicit op boundaries by a millisecond each:
-    // perturbs worker interleaving without changing any outcome.
-    configure("cover::implicit_op", FailConfig::sleep_ms(1).times(16));
-
     let plain_m = Arc::new(cycle(9));
     let hard_m = Arc::new(hard_matrix());
-    let mut opts = ScgOptions {
+    let opts = ScgOptions {
         num_iter: 20,
         ..ScgOptions::default()
     };
-    // Both matrices are within MaxR/MaxC, which skips the ZDD; MaxR =
-    // MaxC = 0 sends them through the implicit phase and its failpoint.
-    opts.core.max_rows = 0;
-    opts.core.max_cols = 0;
-    let mut starved = opts;
-    starved.core.kernel = starved.core.kernel.node_budget(16);
-    // The default MaxR/MaxC take the explicit route on this matrix.
-    let explicit = ScgOptions {
-        num_iter: 20,
-        ..ScgOptions::default()
-    };
-    let baseline = Scg::run(SolveRequest::for_shared(Arc::clone(&hard_m)).options(explicit))
-        .expect("explicit baseline solves");
+    let baseline = Scg::run(SolveRequest::for_shared(Arc::clone(&hard_m)).options(opts))
+        .expect("unstalled baseline solves");
+    // Stall the first 16 reduction passes by a millisecond each: perturbs
+    // worker interleaving without changing any outcome.
+    configure("cover::reduce_pass", FailConfig::sleep_ms(1).times(16));
 
     let engine = Engine::start(EngineConfig {
         workers: 4,
         queue_capacity: 32,
     });
     let mut plain: Vec<JobHandle> = Vec::new();
-    let mut budgeted: Vec<JobHandle> = Vec::new();
+    let mut hard: Vec<JobHandle> = Vec::new();
     let mut panicking: Vec<JobHandle> = Vec::new();
     let mut cancelled: Vec<JobHandle> = Vec::new();
     let mut expired: Vec<JobHandle> = Vec::new();
@@ -84,9 +71,9 @@ fn mixed_chaos_batch_reconciles_exactly() {
         if i >= 6 {
             continue;
         }
-        budgeted.push(
+        hard.push(
             engine
-                .submit(SolveRequest::for_shared(Arc::clone(&hard_m)).options(starved))
+                .submit(SolveRequest::for_shared(Arc::clone(&hard_m)).options(opts))
                 .unwrap(),
         );
         panicking.push(
@@ -123,12 +110,11 @@ fn mixed_chaos_batch_reconciles_exactly() {
     for job in plain {
         let out = job.wait().expect("plain job completes");
         assert!(out.solution.is_feasible(&plain_m));
-        assert!(!out.degraded);
     }
-    for job in budgeted {
-        let out = job.wait().expect("starved job completes via the fallback");
-        assert!(out.degraded, "a 16-node budget must trip the fallback");
-        assert_eq!(out.cost, baseline.cost, "fallback changed the cover cost");
+    for job in hard {
+        let out = job.wait().expect("hard job completes");
+        assert_eq!(out.cost, baseline.cost, "the stalls changed the cover cost");
+        assert_eq!(out.solution.cols(), baseline.solution.cols());
     }
     for job in panicking {
         match job.wait() {
@@ -182,10 +168,6 @@ fn mixed_chaos_batch_reconciles_exactly() {
         counter("ucp_engine_jobs_panicked_total"),
         stats_before.panicked
     );
-    assert_eq!(
-        counter("ucp_engine_jobs_degraded_total"),
-        stats_before.degraded
-    );
     // Every submitted job was dequeued exactly once (the queue drained),
     // and every dequeued job ran to a terminal verdict exactly once.
     let queue_wait = histogram("ucp_engine_queue_wait_seconds");
@@ -200,9 +182,6 @@ fn mixed_chaos_batch_reconciles_exactly() {
     );
     // Solver families record one observation per *completed* solve.
     assert_eq!(counter("ucp_core_solves_total"), stats_before.completed);
-    // Each starved job falls back in-solve, so the core-level family
-    // counts the same six fallbacks as the engine.
-    assert_eq!(counter("ucp_core_degraded_total"), stats_before.degraded);
     // The Prometheus rendering of the same registry parses line by line.
     let text = engine.registry().render_prometheus();
     for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -215,11 +194,10 @@ fn mixed_chaos_batch_reconciles_exactly() {
 
     let stats = engine.shutdown();
     assert_eq!(stats.submitted, 32);
-    assert_eq!(stats.completed, 14, "8 plain + 6 degraded");
+    assert_eq!(stats.completed, 14, "8 plain + 6 hard");
     assert_eq!(stats.panicked, 6);
     assert_eq!(stats.cancelled, 6);
     assert_eq!(stats.expired, 6);
-    assert_eq!(stats.degraded, 6);
     assert_eq!(stats.queued, 0);
     assert_eq!(stats.running, 0);
 }

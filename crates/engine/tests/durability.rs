@@ -292,9 +292,13 @@ fn recovered_job_with_expired_deadline_resolves_expired() {
 
 /// Records exactly as journals carried them while `use_implicit` and
 /// `degrade` were options: every `Submitted` spec names both keys, and a
-/// job that ran out of ZDD nodes failed with `resource_exhausted`.
+/// job that ran out of ZDD nodes failed with `resource_exhausted`. Later
+/// journals carry a spec's `node_budget` and every result's `degraded`
+/// flag.
 const LEGACY_SUBMITTED: &str = r#"{"schema":"ucp-journal/1","record":"submitted","job":7,"t_ms":1000,"spec":{"preset":"paper","workers":0,"seed":3665698816,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"use_implicit":false,"degrade":false,"partition":true},"matrix":{"cols":3,"rows":[[0,1],[1,2],[0,2]]}}"#;
 const LEGACY_FAILED: &str = r#"{"schema":"ucp-journal/1","record":"failed","job":8,"t_ms":1001,"error":{"code":"resource_exhausted","message":"job exhausted its resource budget, even after a degraded retry"}}"#;
+const BUDGETED_SUBMITTED: &str = r#"{"schema":"ucp-journal/1","record":"submitted","job":9,"t_ms":1002,"spec":{"preset":"paper","workers":0,"seed":3665698816,"node_budget":4096,"trace_every":1,"num_iter":4,"best_col_growth":1,"alpha":2,"max_ascent_iters":300,"partition":true},"matrix":{"cols":3,"rows":[[0,1],[1,2],[0,2]]}}"#;
+const DEGRADED_DONE: &str = r#"{"schema":"ucp-journal/1","record":"done","job":9,"t_ms":1003,"result":{"cost":2,"lower_bound":2,"proven_optimal":true,"infeasible":false,"columns":[0,1],"iterations":0,"subgradient_iterations":32,"degraded":true,"total_seconds":0.000125,"core_rows":3,"core_cols":3}}"#;
 
 #[test]
 fn legacy_records_still_replay() {
@@ -303,7 +307,12 @@ fn legacy_records_still_replay() {
     // Raw frames (length, CRC-32, payload), so the payloads reach the
     // parser byte for byte as they were written.
     let mut bytes = Vec::new();
-    for payload in [LEGACY_SUBMITTED, LEGACY_FAILED] {
+    for payload in [
+        LEGACY_SUBMITTED,
+        LEGACY_FAILED,
+        BUDGETED_SUBMITTED,
+        DEGRADED_DONE,
+    ] {
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
         bytes.extend_from_slice(payload.as_bytes());
@@ -327,6 +336,17 @@ fn legacy_records_still_replay() {
     );
     let matrix = Arc::new(job.matrix.clone().unwrap());
     assert_eq!(*spec.to_request(matrix).opts(), Preset::Paper.options());
+    // The budgeted spec replays to the same options, and its degraded
+    // result to the result the current encoder writes.
+    let budgeted = &set.jobs[&9];
+    assert_eq!(budgeted.spec.as_ref(), Some(spec));
+    let Some(Terminal::Done(result)) = &budgeted.terminal else {
+        panic!("job 9 is done: {:?}", budgeted.terminal);
+    };
+    assert_eq!(
+        result.to_json(),
+        r#"{"cost":2,"lower_bound":2,"proven_optimal":true,"infeasible":false,"columns":[0,1],"iterations":0,"subgradient_iterations":32,"total_seconds":0.000125,"core_rows":3,"core_cols":3}"#
+    );
 
     let recovered = engine.recover(&set);
     assert_eq!(recovered.len(), 1);

@@ -31,7 +31,7 @@
 //! submission: [`ServerConfig::shed_after`] consecutive sightings at or
 //! above the high-water mark engage shedding, and every admitted job is
 //! degraded to [`Preset::Fast`] effort (its seed, deadline, workers and
-//! budgets are kept) with `"shed": true` on its status and a
+//! trace sampling are kept) with `"shed": true` on its status and a
 //! `ucp_server_jobs_shed_total` tick, until depth falls back to the
 //! low-water mark. The service keeps answering cheaply instead of
 //! collapsing expensively.
@@ -423,8 +423,8 @@ impl ServerState {
     }
 
     /// Degrades `spec` to Fast-preset effort when shedding is engaged.
-    /// Identity-preserving knobs (seed, deadline, workers, node budget,
-    /// trace sampling) and the constraint fields — they define *which*
+    /// Identity-preserving knobs (seed, deadline, workers, trace
+    /// sampling) and the constraint fields — they define *which*
     /// problem is solved, not how hard — survive; effort overrides are
     /// dropped with the preset. Returns the effective spec and whether
     /// it was changed.
@@ -436,7 +436,6 @@ impl ServerState {
         fast.workers = spec.workers;
         fast.seed = spec.seed;
         fast.deadline = spec.deadline;
-        fast.node_budget = spec.node_budget;
         fast.trace_every = spec.trace_every;
         fast.coverage = spec.coverage.clone();
         fast.gub_groups = spec.gub_groups.clone();

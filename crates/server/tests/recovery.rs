@@ -64,7 +64,6 @@ fn restart_republishes_and_reenqueues_journaled_jobs() {
         columns: vec![0, 1, 2, 3, 4],
         iterations: 1,
         subgradient_iterations: 40,
-        degraded: false,
         total_seconds: 0.01,
         core_rows: 12,
         core_cols: 9,

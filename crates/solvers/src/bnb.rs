@@ -7,8 +7,15 @@
 //! most-constrained row (include first for early incumbents).
 
 use crate::chvatal::{chvatal_greedy, mis_lower_bound};
-use cover::{CoverMatrix, Reducer, Solution};
+use cover::{CoverMatrix, Halt, Reducer, Solution};
 use std::time::{Duration, Instant};
+
+/// Runs `red` to its fixpoint. The search polls its own deadline between
+/// nodes, so the reductions inside a node run unhalted.
+fn fixpoint(red: &mut Reducer<'_>) {
+    red.reduce_to_fixpoint(&Halt::none())
+        .expect("Halt::none never fires");
+}
 
 /// Which lower bound prunes the search tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -176,7 +183,7 @@ fn recurse(
 
     // Reduce this node to its fixpoint.
     let mut red = Reducer::new(cur);
-    red.reduce_to_fixpoint();
+    fixpoint(&mut red);
     if red.infeasible() {
         return;
     }
@@ -223,7 +230,7 @@ fn recurse(
     if !removable.is_empty() {
         // Re-reduce after the removals by recursing on the pruned matrix.
         let mut red2 = Reducer::with_state(&core, &[], &removable);
-        red2.reduce_to_fixpoint();
+        fixpoint(&mut red2);
         if red2.infeasible() {
             return;
         }
@@ -269,7 +276,7 @@ fn branch(
     // Include j.
     {
         let mut red = Reducer::with_state(core, &[j], &[]);
-        red.reduce_to_fixpoint();
+        fixpoint(&mut red);
         if red.infeasible() {
             // dead branch
         } else {
@@ -295,7 +302,7 @@ fn branch(
     // Exclude j.
     {
         let mut red = Reducer::with_state(core, &[], &[j]);
-        red.reduce_to_fixpoint();
+        fixpoint(&mut red);
         if red.infeasible() {
             return;
         }

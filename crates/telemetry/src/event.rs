@@ -43,21 +43,6 @@ impl FixReason {
     }
 }
 
-/// Why a solve fell back from the implicit to the explicit representation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// The ZDD kernel exhausted its node budget.
-    NodeBudget,
-}
-
-impl DegradeReason {
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeReason::NodeBudget => "node_budget",
-        }
-    }
-}
-
 /// One structured trace event.
 ///
 /// Payloads are plain numbers so that building an event is cheap; sites
@@ -98,28 +83,6 @@ pub enum Event {
         mu: f64,
         reason: FixReason,
     },
-    /// ZDD kernel counters sampled at the end of the implicit phase:
-    /// computed-cache traffic, unique-table rehash activity, node
-    /// population and GC work of the manager that ran the reductions.
-    ZddKernel {
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_evictions: u64,
-        unique_relocations: u64,
-        peak_nodes: u64,
-        live_nodes: u64,
-        gc_runs: u64,
-        gc_reclaimed: u64,
-        /// Total GC pause time across the `gc_runs` collections, in
-        /// nanoseconds.
-        gc_pause_nanos: u64,
-        /// Longest single GC pause, in nanoseconds.
-        gc_max_pause_nanos: u64,
-    },
-    /// The solver degraded gracefully: the phase named could not finish
-    /// on its preferred (implicit) representation and the solve fell back
-    /// to the explicit path. Emitted exactly once per fallback.
-    Degraded { reason: DegradeReason, phase: Phase },
     /// A constructive run (restart) began on worker `worker`.
     RestartBegin { run: usize, worker: usize },
     /// A constructive run finished with `cost`; `best_cost` is the
@@ -171,8 +134,6 @@ impl Event {
             Event::SubgradientIter { .. } => "subgradient_iter",
             Event::PenaltyElim { .. } => "penalty_elim",
             Event::ColumnFix { .. } => "column_fix",
-            Event::ZddKernel { .. } => "zdd_kernel",
-            Event::Degraded { .. } => "degraded",
             Event::RestartBegin { .. } => "restart_begin",
             Event::RestartEnd { .. } => "restart_end",
             Event::Checkpoint { .. } => "checkpoint",
@@ -219,33 +180,6 @@ impl Event {
                 obj.field_f64("sigma", *sigma);
                 obj.field_f64("mu", *mu);
                 obj.field_str("reason", reason.name());
-            }
-            Event::ZddKernel {
-                cache_hits,
-                cache_misses,
-                cache_evictions,
-                unique_relocations,
-                peak_nodes,
-                live_nodes,
-                gc_runs,
-                gc_reclaimed,
-                gc_pause_nanos,
-                gc_max_pause_nanos,
-            } => {
-                obj.field_u64("cache_hits", *cache_hits);
-                obj.field_u64("cache_misses", *cache_misses);
-                obj.field_u64("cache_evictions", *cache_evictions);
-                obj.field_u64("unique_relocations", *unique_relocations);
-                obj.field_u64("peak_nodes", *peak_nodes);
-                obj.field_u64("live_nodes", *live_nodes);
-                obj.field_u64("gc_runs", *gc_runs);
-                obj.field_u64("gc_reclaimed", *gc_reclaimed);
-                obj.field_u64("gc_pause_nanos", *gc_pause_nanos);
-                obj.field_u64("gc_max_pause_nanos", *gc_max_pause_nanos);
-            }
-            Event::Degraded { reason, phase } => {
-                obj.field_str("reason", reason.name());
-                obj.field_str("phase", phase.name());
             }
             Event::RestartBegin { run, worker } => {
                 obj.field_u64("run", *run as u64);
@@ -321,22 +255,6 @@ mod tests {
                 sigma: 0.0,
                 mu: 0.0,
                 reason: FixReason::RatedPick,
-            },
-            Event::ZddKernel {
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_evictions: 0,
-                unique_relocations: 0,
-                peak_nodes: 0,
-                live_nodes: 0,
-                gc_runs: 0,
-                gc_reclaimed: 0,
-                gc_pause_nanos: 0,
-                gc_max_pause_nanos: 0,
-            },
-            Event::Degraded {
-                reason: DegradeReason::NodeBudget,
-                phase: Phase::ImplicitReduction,
             },
             Event::RestartBegin { run: 0, worker: 0 },
             Event::RestartEnd {

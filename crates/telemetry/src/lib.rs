@@ -1,7 +1,7 @@
 //! Solver telemetry: structured trace events with zero cost when disabled.
 //!
 //! The ZDD_SCG pipeline is a sequence of qualitatively different phases —
-//! implicit (ZDD) reduction, explicit reduction, block partitioning,
+//! duplicate-row merge, explicit reduction, block partitioning,
 //! subgradient ascent and the stochastic constructive runs. Understanding
 //! why an instance is slow, or why the lower bound stalls, requires seeing
 //! *inside* those phases without paying for the observation on the hot path.
@@ -30,7 +30,7 @@ mod probe;
 mod sink;
 pub mod trace;
 
-pub use event::{DegradeReason, Event, FixReason, PenaltyKind};
+pub use event::{Event, FixReason, PenaltyKind};
 pub use json::{escape_json, f64_array, u64_array, JsonObj};
 pub use phase::{Phase, PhaseTimes};
 pub use probe::{NoopProbe, Probe, RecordingProbe, TimedEvent};

@@ -6,7 +6,9 @@
 /// its per-phase accumulators by the same variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// ZDD-based reduction of the encoded matrix (§3.2 of the paper).
+    /// The paper's implicit (ZDD) reduction step; its slot now times the
+    /// coverability check and the duplicate-row merge that stand in for
+    /// the ZDD encode and decode.
     ImplicitReduction,
     /// Explicit essential/dominance reduction to the cyclic core.
     ExplicitReduction,

@@ -1,42 +1,12 @@
 //! The classical ZDD family algebra: union, intersection, difference and
 //! unate product.
-//!
-//! Every operation has an infallible form (`union`, …) that panics if a
-//! configured [`node_budget`](crate::ZddOptions::node_budget) is
-//! exhausted — and can never fail without one. The operations a
-//! budgeted caller needs (`union` here) also come as a `try_*` form
-//! returning a recoverable [`ZddOverflow`](crate::ZddOverflow), over the
-//! same recursive core. The cores keep the
-//! historically infallible shape: exhaustion latches the manager's
-//! sticky flag and the recursion runs on harmlessly (see
-//! `Zdd::node_core`), so the compiled hot path is byte-for-byte the
-//! pre-budget code.
 
 use crate::manager::{Op, Zdd};
 use crate::node::{NodeId, Var};
-use crate::ZddOverflow;
 
 impl Zdd {
     /// Family union `f ∪ g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_union`]).
     pub fn union(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.union_rec(f, g);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::union`] for budgeted managers.
-    pub fn try_union(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.union_rec(f, g);
-        self.finish_try(r)
-    }
-
-    pub(crate) fn union_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == g || g == NodeId::EMPTY {
             return f;
         }
@@ -52,24 +22,15 @@ impl Zdd {
         let v = vf.min(vg);
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
-        let lo = self.union_rec(f0, g0);
-        let hi = self.union_rec(f1, g1);
-        let r = self.node_core(Var(v), lo, hi);
+        let lo = self.union(f0, g0);
+        let hi = self.union(f1, g1);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::Union, a, b), r);
         r
     }
 
     /// Family intersection `f ∩ g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn intersect(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.intersect_rec(f, g);
-        self.finish(r)
-    }
-
-    pub(crate) fn intersect_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == g {
             return f;
         }
@@ -84,24 +45,15 @@ impl Zdd {
         let v = vf.min(vg);
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
-        let lo = self.intersect_rec(f0, g0);
-        let hi = self.intersect_rec(f1, g1);
-        let r = self.node_core(Var(v), lo, hi);
+        let lo = self.intersect(f0, g0);
+        let hi = self.intersect(f1, g1);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::Intersect, a, b), r);
         r
     }
 
     /// Family difference `f ∖ g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn difference(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.difference_rec(f, g);
-        self.finish(r)
-    }
-
-    pub(crate) fn difference_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == NodeId::EMPTY || f == g {
             return NodeId::EMPTY;
         }
@@ -115,9 +67,9 @@ impl Zdd {
         let v = vf.min(vg);
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
-        let lo = self.difference_rec(f0, g0);
-        let hi = self.difference_rec(f1, g1);
-        let r = self.node_core(Var(v), lo, hi);
+        let lo = self.difference(f0, g0);
+        let hi = self.difference(f1, g1);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::Difference, f, g), r);
         r
     }
@@ -126,16 +78,7 @@ impl Zdd {
     ///
     /// This is Minato's multiplication of unate cube set expressions; it is
     /// commutative and distributes over [`Zdd::union`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn product(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.product_rec(f, g);
-        self.finish(r)
-    }
-
-    pub(crate) fn product_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == NodeId::EMPTY || g == NodeId::EMPTY {
             return NodeId::EMPTY;
         }
@@ -154,13 +97,13 @@ impl Zdd {
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
         // Members with v: f1*g1 ∪ f1*g0 ∪ f0*g1; without: f0*g0.
-        let p11 = self.product_rec(f1, g1);
-        let p10 = self.product_rec(f1, g0);
-        let p01 = self.product_rec(f0, g1);
-        let u1 = self.union_rec(p11, p10);
-        let hi = self.union_rec(u1, p01);
-        let lo = self.product_rec(f0, g0);
-        let r = self.node_core(Var(v), lo, hi);
+        let p11 = self.product(f1, g1);
+        let p10 = self.product(f1, g0);
+        let p01 = self.product(f0, g1);
+        let u1 = self.union(p11, p10);
+        let hi = self.union(u1, p01);
+        let lo = self.product(f0, g0);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::Product, a, b), r);
         r
     }

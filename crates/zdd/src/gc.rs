@@ -114,11 +114,6 @@ impl Zdd {
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed += (before - after) as u64;
         self.stats.gc_pause.record(pause_started.elapsed());
-        // Exhaustion recovery: a collection that brings the store back
-        // under budget re-opens the manager for allocation.
-        if self.exhausted && after < self.opts.node_budget {
-            self.exhausted = false;
-        }
         (
             roots.iter().map(|r| remap[r.index()]).collect(),
             GcStats { before, after },

@@ -8,21 +8,11 @@
 
 use crate::manager::{Op, Zdd};
 use crate::node::{NodeId, Var};
-use crate::ZddOverflow;
 
 impl Zdd {
     /// Members of `f` that are **not** supersets (or duplicates) of any
     /// member of `g`: `{s ∈ f : ∄ h ∈ g, h ⊆ s}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn nonsupersets(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.nonsupersets_rec(f, g);
-        self.finish(r)
-    }
-
-    pub(crate) fn nonsupersets_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == NodeId::EMPTY || f == g {
             return NodeId::EMPTY;
         }
@@ -47,26 +37,17 @@ impl Zdd {
         let v = self.raw_var(f).min(self.raw_var(g));
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
-        let lo = self.nonsupersets_rec(f0, g0);
-        let h1 = self.nonsupersets_rec(f1, g1);
-        let hi = self.nonsupersets_rec(h1, g0);
-        let r = self.node_core(Var(v), lo, hi);
+        let lo = self.nonsupersets(f0, g0);
+        let h1 = self.nonsupersets(f1, g1);
+        let hi = self.nonsupersets(h1, g0);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::NonSupersets, f, g), r);
         r
     }
 
     /// Members of `f` that are **not** subsets (or duplicates) of any member
     /// of `g`: `{s ∈ f : ∄ h ∈ g, s ⊆ h}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn nonsubsets(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let r = self.nonsubsets_rec(f, g);
-        self.finish(r)
-    }
-
-    pub(crate) fn nonsubsets_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == NodeId::EMPTY || f == g {
             return NodeId::EMPTY;
         }
@@ -82,7 +63,7 @@ impl Zdd {
             // members of f that are ⊆ ∅ are just ∅ itself.
             return if self.contains_empty(f) {
                 // remove ∅ from f
-                self.difference_rec(f, NodeId::BASE)
+                self.difference(f, NodeId::BASE)
             } else {
                 f
             };
@@ -93,10 +74,10 @@ impl Zdd {
         let v = self.raw_var(f).min(self.raw_var(g));
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
-        let l0 = self.nonsubsets_rec(f0, g0);
-        let lo = self.nonsubsets_rec(l0, g1);
-        let hi = self.nonsubsets_rec(f1, g1);
-        let r = self.node_core(Var(v), lo, hi);
+        let l0 = self.nonsubsets(f0, g0);
+        let lo = self.nonsubsets(l0, g1);
+        let hi = self.nonsubsets(f1, g1);
+        let r = self.node(Var(v), lo, hi);
         self.cache_put((Op::NonSubsets, f, g), r);
         r
     }
@@ -105,25 +86,7 @@ impl Zdd {
     ///
     /// Applied to the row family of a covering matrix this removes every
     /// dominated row in a single implicit pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_minimal`]).
     pub fn minimal(&mut self, f: NodeId) -> NodeId {
-        let r = self.minimal_rec(f);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::minimal`] for budgeted managers.
-    pub fn try_minimal(&mut self, f: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.minimal_rec(f);
-        self.finish_try(r)
-    }
-
-    pub(crate) fn minimal_rec(&mut self, f: NodeId) -> NodeId {
         if f.is_terminal() {
             return f;
         }
@@ -132,26 +95,17 @@ impl Zdd {
         }
         let v = self.raw_var(f);
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let m0 = self.minimal_rec(lo);
-        let m1 = self.minimal_rec(hi);
+        let m0 = self.minimal(lo);
+        let m1 = self.minimal(hi);
         // A member t∪{v} survives only if no member u (without v) has u ⊆ t.
-        let h = self.nonsupersets_rec(m1, m0);
-        let r = self.node_core(Var(v), m0, h);
+        let h = self.nonsupersets(m1, m0);
+        let r = self.node(Var(v), m0, h);
         self.cache_put((Op::Minimal, f, f), r);
         r
     }
 
     /// The inclusion-maximal members of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn maximal(&mut self, f: NodeId) -> NodeId {
-        let r = self.maximal_rec(f);
-        self.finish(r)
-    }
-
-    pub(crate) fn maximal_rec(&mut self, f: NodeId) -> NodeId {
         if f.is_terminal() {
             return f;
         }
@@ -160,11 +114,11 @@ impl Zdd {
         }
         let v = self.raw_var(f);
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let m0 = self.maximal_rec(lo);
-        let m1 = self.maximal_rec(hi);
+        let m0 = self.maximal(lo);
+        let m1 = self.maximal(hi);
         // A member s (without v) survives only if no member t∪{v} has s ⊆ t.
-        let l = self.nonsubsets_rec(m0, m1);
-        let r = self.node_core(Var(v), l, m1);
+        let l = self.nonsubsets(m0, m1);
+        let r = self.node(Var(v), l, m1);
         self.cache_put((Op::Maximal, f, f), r);
         r
     }
@@ -174,37 +128,19 @@ impl Zdd {
     ///
     /// In the covering encoding, a singleton row means its unique covering
     /// column is *essential*.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_singletons`]).
     pub fn singletons(&mut self, f: NodeId) -> NodeId {
-        let r = self.singletons_rec(f);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::singletons`] for budgeted managers.
-    pub fn try_singletons(&mut self, f: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.singletons_rec(f);
-        self.finish_try(r)
-    }
-
-    pub(crate) fn singletons_rec(&mut self, f: NodeId) -> NodeId {
         if f.is_terminal() {
             return NodeId::EMPTY;
         }
         let v = self.raw_var(f);
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let l = self.singletons_rec(lo);
+        let l = self.singletons(lo);
         let h = if self.contains_empty(hi) {
             NodeId::BASE
         } else {
             NodeId::EMPTY
         };
-        self.node_core(Var(v), l, h)
+        self.node(Var(v), l, h)
     }
 }
 

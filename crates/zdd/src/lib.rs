@@ -56,7 +56,7 @@ mod table;
 
 pub use gc::GcStats;
 pub use iter::SetsIter;
-pub use manager::{RootId, Zdd, ZddOverflow};
+pub use manager::{RootId, Zdd};
 pub use node::{NodeId, Var};
-pub use options::{ZddOptions, APPROX_BYTES_PER_NODE};
+pub use options::ZddOptions;
 pub use stats::{GcPauseHistogram, ZddStats, GC_PAUSE_BOUNDS_NANOS, GC_PAUSE_BUCKETS};

@@ -25,36 +25,6 @@ pub(crate) enum Op {
     Change,
 }
 
-/// The node budget was exhausted: an operation needed a fresh node but
-/// the store already holds [`budget`](ZddOverflow::budget) nodes.
-///
-/// This is a *recoverable* condition. The manager is left in a sticky
-/// `Exhausted` state in which every `try_*` operation keeps failing
-/// fast; the partially-built results of the failed operation are
-/// unreachable garbage, and every previously returned [`NodeId`] is
-/// still valid. A [`Zdd::collect`] (with the families to keep held in
-/// registered roots) that brings the store back under budget clears the
-/// state, after which operations may be retried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ZddOverflow {
-    /// The configured [`ZddOptions::node_budget`](crate::ZddOptions::node_budget).
-    pub budget: usize,
-    /// Store size when the budget tripped.
-    pub live: usize,
-}
-
-impl std::fmt::Display for ZddOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ZDD node budget exhausted ({} live nodes, budget {})",
-            self.live, self.budget
-        )
-    }
-}
-
-impl std::error::Error for ZddOverflow {}
-
 /// A registered GC root slot: a handle the manager updates in place when
 /// a collection remaps node ids.
 ///
@@ -95,10 +65,6 @@ pub struct Zdd {
     pub(crate) opts: ZddOptions,
     /// Store size at which the next automatic collection triggers.
     pub(crate) gc_at: usize,
-    /// Sticky budget-exhaustion flag; see [`ZddOverflow`]. Set when an
-    /// allocation would exceed `opts.node_budget`, cleared by a
-    /// collection that brings the store back under budget.
-    pub(crate) exhausted: bool,
     pub(crate) stats: ZddStats,
 }
 
@@ -124,7 +90,6 @@ impl Zdd {
             cache: ComputedCache::with_capacity(opts.cache_capacity),
             roots: Vec::new(),
             gc_at: opts.gc_threshold.max(4),
-            exhausted: false,
             opts,
             stats: ZddStats {
                 peak_nodes: 2,
@@ -246,22 +211,16 @@ impl Zdd {
         self.nodes[f.index()].hi
     }
 
-    /// Core of [`Zdd::node`]: the budget check sits on the unique-table
-    /// *miss* path only, so budgeted and unbudgeted hit paths are
-    /// instruction-identical.
+    /// Creates (or retrieves) the node `(var, lo, hi)`, applying the
+    /// zero-suppression rule: if `hi` is the empty family the node reduces to
+    /// `lo`.
     ///
-    /// On a blocked allocation this latches the sticky `exhausted` flag
-    /// and returns the `EMPTY` dummy instead of propagating an error —
-    /// the recursive operations keep their historical infallible shape
-    /// (no per-return `Result` overhead on the hot path) and run to
-    /// completion producing bounded garbage: while exhausted no new node
-    /// can be interned, so the store cannot grow, and the public entry
-    /// points discard the dummy result by checking the flag afterwards.
-    /// Garbage memo entries written meanwhile cannot outlive the episode
-    /// either: clearing `exhausted` requires a collection, which
-    /// generation-bumps the computed cache.
+    /// # Panics
+    ///
+    /// Panics in debug builds if `lo` or `hi` has a top variable that is not
+    /// strictly below `var` in the order (i.e. not strictly greater index).
     #[inline]
-    pub(crate) fn node_core(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
+    pub fn node(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
         if hi == NodeId::EMPTY {
             return lo;
         }
@@ -272,81 +231,11 @@ impl Zdd {
             self.stats.unique_hits += 1;
             return id;
         }
-        if self.exhausted || self.nodes.len() >= self.opts.node_budget {
-            self.exhausted = true;
-            return NodeId::EMPTY;
-        }
-        ucp_failpoints::fail_point!("zdd::node_alloc", |_payload: String| {
-            self.exhausted = true;
-            NodeId::EMPTY
-        });
         self.stats.unique_misses += 1;
         let id = NodeId(u32::try_from(self.nodes.len()).expect("ZDD node store overflow"));
         self.nodes.push(key);
         self.unique.insert(&self.nodes, id);
         id
-    }
-
-    /// Creates (or retrieves) the node `(var, lo, hi)`, applying the
-    /// zero-suppression rule: if `hi` is the empty family the node reduces to
-    /// `lo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `lo` or `hi` has a top variable that is not
-    /// strictly below `var` in the order (i.e. not strictly greater index).
-    /// Panics if a [`node_budget`](crate::ZddOptions::node_budget) is set and
-    /// exhausted — callers that configure a budget should use [`Zdd::try_node`]
-    /// and the `try_*` operations instead.
-    pub fn node(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
-        let r = self.node_core(var, lo, hi);
-        self.finish(r)
-    }
-
-    /// Discards a recursion result built (partly) from exhaustion
-    /// dummies: the infallible entry points promise overflow-freedom
-    /// unless a budget is set, so they panic here instead.
-    #[inline]
-    pub(crate) fn finish(&self, r: NodeId) -> NodeId {
-        if self.exhausted {
-            panic!("{} (use the try_* operations to recover)", self.overflow());
-        }
-        r
-    }
-
-    /// `try_*` entry/exit guard: fails fast when the sticky exhausted
-    /// state is set, and invalidates a just-computed result the same way.
-    #[inline]
-    pub(crate) fn finish_try(&self, r: NodeId) -> Result<NodeId, ZddOverflow> {
-        if self.exhausted {
-            Err(self.overflow())
-        } else {
-            Ok(r)
-        }
-    }
-
-    /// Fallible variant of [`Zdd::node`]: returns [`ZddOverflow`] instead of
-    /// panicking when the node budget is exhausted.
-    pub fn try_node(&mut self, var: Var, lo: NodeId, hi: NodeId) -> Result<NodeId, ZddOverflow> {
-        let r = self.node_core(var, lo, hi);
-        self.finish_try(r)
-    }
-
-    /// Whether the manager is in the sticky budget-exhausted state.
-    ///
-    /// See [`ZddOverflow`] for the recovery protocol.
-    #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// The [`ZddOverflow`] describing the current budget pressure.
-    #[inline]
-    pub(crate) fn overflow(&self) -> ZddOverflow {
-        ZddOverflow {
-            budget: self.opts.node_budget,
-            live: self.nodes.len(),
-        }
     }
 
     /// The family `{{var}}` containing the single singleton set.
@@ -371,21 +260,6 @@ impl Zdd {
         acc
     }
 
-    /// Fallible variant of [`Zdd::set`] for budgeted managers.
-    pub fn try_set<I>(&mut self, set: I) -> Result<NodeId, ZddOverflow>
-    where
-        I: IntoIterator<Item = Var>,
-    {
-        let mut vars: Vec<Var> = set.into_iter().collect();
-        vars.sort_unstable();
-        vars.dedup();
-        let mut acc = NodeId::BASE;
-        for v in vars.into_iter().rev() {
-            acc = self.node_core(v, NodeId::EMPTY, acc);
-        }
-        self.finish_try(acc)
-    }
-
     /// Builds a family from an iterator of sets.
     ///
     /// Set order, duplicate sets and repeated variables are all tolerated.
@@ -393,36 +267,13 @@ impl Zdd {
     /// list: each node of the result is interned once through the unique
     /// table, no intermediate family is allocated and the computed cache
     /// is never probed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_from_sets`]).
     pub fn from_sets<I, S>(&mut self, sets: I) -> NodeId
     where
         I: IntoIterator<Item = S>,
         S: IntoIterator<Item = Var>,
     {
         let members = sorted_members(sets);
-        let r = self.build_sorted(&members, 0);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::from_sets`] for budgeted managers.
-    ///
-    /// The build allocates exactly the result's nodes that are not already
-    /// in the store, so it overflows exactly when they do not fit the
-    /// budget.
-    pub fn try_from_sets<I, S>(&mut self, sets: I) -> Result<NodeId, ZddOverflow>
-    where
-        I: IntoIterator<Item = S>,
-        S: IntoIterator<Item = Var>,
-    {
-        if self.exhausted {
-            return Err(self.overflow());
-        }
-        let members = sorted_members(sets);
-        let r = self.build_sorted(&members, 0);
-        self.finish_try(r)
+        self.build_sorted(&members, 0)
     }
 
     /// The family of the suffixes `s[depth..]` of `sets`, which are sorted,
@@ -443,7 +294,7 @@ impl Zdd {
                 start -= 1;
             }
             let hi = self.build_sorted(&rest[start..end], depth + 1);
-            acc = self.node_core(Var(v), acc, hi);
+            acc = self.node(Var(v), acc, hi);
             end = start;
         }
         acc
@@ -549,7 +400,7 @@ impl Zdd {
     ///
     /// Returns the collection's statistics if one ran.
     pub fn maybe_gc(&mut self) -> Option<crate::GcStats> {
-        if self.opts.auto_gc && (self.exhausted || self.nodes.len() >= self.gc_at) {
+        if self.opts.auto_gc && self.nodes.len() >= self.gc_at {
             Some(self.collect())
         } else {
             None

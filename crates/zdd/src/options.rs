@@ -34,7 +34,6 @@ pub struct ZddOptions {
     pub(crate) gc_threshold: usize,
     pub(crate) gc_ratio: f64,
     pub(crate) auto_gc: bool,
-    pub(crate) node_budget: usize,
 }
 
 impl Default for ZddOptions {
@@ -45,16 +44,9 @@ impl Default for ZddOptions {
             gc_threshold: 1 << 16,
             gc_ratio: 2.0,
             auto_gc: true,
-            node_budget: usize::MAX,
         }
     }
 }
-
-/// Estimated resident bytes per live node, used by
-/// [`ZddOptions::memory_budget`] to convert a byte budget into a node
-/// budget: 12 bytes of `Node` payload plus amortised unique-table slots
-/// and computed-cache share.
-pub const APPROX_BYTES_PER_NODE: usize = 24;
 
 impl ZddOptions {
     /// Default options — identical to [`ZddOptions::default`].
@@ -113,28 +105,6 @@ impl ZddOptions {
         self
     }
 
-    /// Caps the node store at `nodes` live nodes (clamped to at least
-    /// 16 so the terminals and trivial families always fit). When an
-    /// operation needs a fresh node beyond the cap, the manager trips
-    /// its sticky `Exhausted` state and the `try_*` operations return a
-    /// recoverable [`ZddOverflow`](crate::ZddOverflow) instead of
-    /// aborting the process. Default: unlimited (`usize::MAX`).
-    ///
-    /// Unlike every other tunable, an *exhausted* budget changes what a
-    /// fallible operation returns — but never the value of an operation
-    /// that completes.
-    pub fn node_budget(mut self, nodes: usize) -> Self {
-        self.node_budget = nodes.max(16);
-        self
-    }
-
-    /// Mirror of [`ZddOptions::node_budget`] in bytes: caps the store at
-    /// roughly `bytes` of resident memory using the
-    /// [`APPROX_BYTES_PER_NODE`] estimate.
-    pub fn memory_budget(self, bytes: usize) -> Self {
-        self.node_budget(bytes / APPROX_BYTES_PER_NODE)
-    }
-
     /// Constructs the manager.
     pub fn build(self) -> Zdd {
         Zdd::with_options(self)
@@ -153,11 +123,6 @@ impl ZddOptions {
     /// The configured auto-GC node threshold.
     pub fn get_gc_threshold(&self) -> usize {
         self.gc_threshold
-    }
-
-    /// The configured node budget (`usize::MAX` when unlimited).
-    pub fn get_node_budget(&self) -> usize {
-        self.node_budget
     }
 }
 
@@ -179,16 +144,6 @@ mod tests {
         assert_eq!(o.get_gc_threshold(), 512);
         assert_eq!(o.gc_ratio, 3.0);
         assert!(!o.auto_gc);
-    }
-
-    #[test]
-    fn node_budget_roundtrips_and_clamps() {
-        assert_eq!(ZddOptions::new().get_node_budget(), usize::MAX);
-        assert_eq!(ZddOptions::new().node_budget(1000).get_node_budget(), 1000);
-        // Degenerate budgets clamp up so the terminals always fit.
-        assert_eq!(ZddOptions::new().node_budget(0).get_node_budget(), 16);
-        let byte_budget = ZddOptions::new().memory_budget(4800);
-        assert_eq!(byte_budget.get_node_budget(), 4800 / APPROX_BYTES_PER_NODE);
     }
 
     #[test]

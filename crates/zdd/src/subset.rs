@@ -2,29 +2,10 @@
 
 use crate::manager::{Op, Zdd};
 use crate::node::{NodeId, Var};
-use crate::ZddOverflow;
 
 impl Zdd {
     /// The members of `f` that do **not** contain `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_subset0`]).
     pub fn subset0(&mut self, f: NodeId, v: Var) -> NodeId {
-        let r = self.subset0_rec(f, v);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::subset0`] for budgeted managers.
-    pub fn try_subset0(&mut self, f: NodeId, v: Var) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.subset0_rec(f, v);
-        self.finish_try(r)
-    }
-
-    pub(crate) fn subset0_rec(&mut self, f: NodeId, v: Var) -> NodeId {
         if f.is_terminal() {
             return f;
         }
@@ -40,33 +21,15 @@ impl Zdd {
             return r;
         }
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let nlo = self.subset0_rec(lo, v);
-        let nhi = self.subset0_rec(hi, v);
-        let r = self.node_core(Var(top), nlo, nhi);
+        let nlo = self.subset0(lo, v);
+        let nhi = self.subset0(hi, v);
+        let r = self.node(Var(top), nlo, nhi);
         self.cache_put(key, r);
         r
     }
 
     /// The members of `f` that contain `v`, with `v` removed from each.
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion (see [`Zdd::try_subset1`]).
     pub fn subset1(&mut self, f: NodeId, v: Var) -> NodeId {
-        let r = self.subset1_rec(f, v);
-        self.finish(r)
-    }
-
-    /// Fallible [`Zdd::subset1`] for budgeted managers.
-    pub fn try_subset1(&mut self, f: NodeId, v: Var) -> Result<NodeId, ZddOverflow> {
-        if self.is_exhausted() {
-            return Err(self.overflow());
-        }
-        let r = self.subset1_rec(f, v);
-        self.finish_try(r)
-    }
-
-    pub(crate) fn subset1_rec(&mut self, f: NodeId, v: Var) -> NodeId {
         if f.is_terminal() {
             return NodeId::EMPTY;
         }
@@ -82,43 +45,34 @@ impl Zdd {
             return r;
         }
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let nlo = self.subset1_rec(lo, v);
-        let nhi = self.subset1_rec(hi, v);
-        let r = self.node_core(Var(top), nlo, nhi);
+        let nlo = self.subset1(lo, v);
+        let nhi = self.subset1(hi, v);
+        let r = self.node(Var(top), nlo, nhi);
         self.cache_put(key, r);
         r
     }
 
     /// Toggles `v` in every member of `f` (symmetric difference with `{v}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on node-budget exhaustion.
     pub fn change(&mut self, f: NodeId, v: Var) -> NodeId {
-        let r = self.change_rec(f, v);
-        self.finish(r)
-    }
-
-    pub(crate) fn change_rec(&mut self, f: NodeId, v: Var) -> NodeId {
         if f == NodeId::EMPTY {
             return NodeId::EMPTY;
         }
         let top = self.raw_var(f);
         if top > v.0 {
-            return self.node_core(v, NodeId::EMPTY, f);
+            return self.node(v, NodeId::EMPTY, f);
         }
         if top == v.0 {
             let (lo, hi) = (self.lo(f), self.hi(f));
-            return self.node_core(v, hi, lo);
+            return self.node(v, hi, lo);
         }
         let key = (Op::Change, f, NodeId(v.0));
         if let Some(r) = self.cache_get(key) {
             return r;
         }
         let (lo, hi) = (self.lo(f), self.hi(f));
-        let nlo = self.change_rec(lo, v);
-        let nhi = self.change_rec(hi, v);
-        let r = self.node_core(Var(top), nlo, nhi);
+        let nlo = self.change(lo, v);
+        let nhi = self.change(hi, v);
+        let r = self.node(Var(top), nlo, nhi);
         self.cache_put(key, r);
         r
     }

@@ -1,5 +1,4 @@
-//! Bottom-up family construction against a union fold of single sets, and
-//! its node-budget contract.
+//! Bottom-up family construction against a union fold of single sets.
 
 use proptest::prelude::*;
 use zdd::{NodeId, Var, Zdd, ZddOptions};
@@ -67,27 +66,6 @@ proptest! {
         prop_assert_eq!(z.stats().cache_lookups(), 0);
     }
 
-    #[test]
-    fn try_from_sets_overflows_exactly_past_the_family_size(sets in input_strategy()) {
-        let mut free = ZddOptions::new().auto_gc(false).build();
-        let f = free.from_sets(vars(&sets));
-        let needed = free.len();
-        // `ZddOptions::node_budget` raises budgets below 16 to 16.
-        for budget in 16..=needed + 1 {
-            let mut z = ZddOptions::new().node_budget(budget).auto_gc(false).build();
-            match z.try_from_sets(vars(&sets)) {
-                Ok(g) => {
-                    prop_assert!(needed <= budget, "fit {needed} nodes in {budget}");
-                    prop_assert_eq!(z.to_sets(g), free.to_sets(f));
-                }
-                Err(e) => {
-                    prop_assert!(needed > budget, "{needed} nodes overflowed {budget}");
-                    prop_assert_eq!(e.budget, budget);
-                    prop_assert!(z.is_exhausted());
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -95,14 +73,5 @@ fn empty_input_is_the_empty_family() {
     let mut z = Zdd::default();
     let f = z.from_sets(Vec::<Vec<Var>>::new());
     assert_eq!(f, NodeId::EMPTY);
-    assert_eq!(z.try_from_sets([Vec::<Var>::new()]), Ok(NodeId::BASE));
-}
-
-#[test]
-fn exhausted_manager_fails_fast() {
-    let mut z = ZddOptions::new().node_budget(16).auto_gc(false).build();
-    let wide: Vec<Vec<Var>> = (0..20).map(|i| vec![Var(i)]).collect();
-    assert!(z.try_from_sets(wide).is_err());
-    let err = z.try_from_sets([vec![Var(0)]]).unwrap_err();
-    assert_eq!(err.budget, 16);
+    assert_eq!(z.from_sets([Vec::<Var>::new()]), NodeId::BASE);
 }

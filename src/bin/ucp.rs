@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! ucp minimize <file.pla> [-o out.pla] [--exact]   two-level minimisation
-//! ucp solve <instance> [--exact] [--preset P] [-j N|--workers N] [--node-budget N]
-//!           [--coverage B] [--gub cols:bound]… [--trace <path>] [--stats] [--metrics <path>]
-//! ucp batch <suite> [-j N] [--preset P] [--seed S] [--node-budget N] [--coverage B]
+//! ucp solve <instance> [--exact] [--preset P] [-j N|--workers N] [--coverage B]
+//!           [--gub cols:bound]… [--trace <path>] [--stats] [--metrics <path>]
+//! ucp batch <suite> [-j N] [--preset P] [--seed S] [--coverage B]
 //! ucp serve [--addr A] [-j N] [--queue-cap N] [--journal <dir>]
 //! ucp journal <dir>                                summarise a job journal
 //! ucp trace <file.jsonl> [--folded <out>]          profile a recorded trace
@@ -23,10 +23,9 @@
 //! `--trace <path>` streams the solver's telemetry events (phase begin/end,
 //! per-iteration subgradient state, penalty eliminations, column fixes,
 //! restarts) as schema-versioned JSON lines; `--stats` prints the phase
-//! breakdown and ZDD manager counters after the solve; `--metrics <path>`
-//! writes the solve's metric families (solver counters, per-phase latency
-//! histograms, ZDD kernel traffic, GC pause histogram) in Prometheus text
-//! exposition format (`-` = stdout).
+//! breakdown after the solve; `--metrics <path>` writes the solve's metric
+//! families (solver counters, per-phase latency histograms) in Prometheus
+//! text exposition format (`-` = stdout).
 //!
 //! `ucp trace <file.jsonl>` profiles a recorded trace offline: event-kind
 //! counts, the per-phase wall-clock breakdown, subgradient convergence
@@ -68,12 +67,6 @@
 //! human-readable summary of such a journal (it shares the replay
 //! parser with recovery, so what it reports is what a restart would
 //! do). See the README's "Durability" section.
-//!
-//! `--node-budget N` caps the implicit phase's ZDD store at `N` live
-//! nodes. A solve that exhausts the budget degrades to the explicit
-//! reductions and still returns the same cover (`--stats` reports the
-//! fallback). The implicit phase runs only on a matrix whose distinct
-//! rows exceed `MaxR`/`MaxC`, so the budget acts only there.
 //!
 //! `--coverage B` demands `B` distinct covering columns per row (set
 //! multicover); a comma list (`2,1,3,…`) sets one demand per row.
@@ -148,13 +141,13 @@ fn print_usage(w: &mut dyn Write) {
     let _ = writeln!(w, "  minimize <file.pla> [-o out.pla] [--exact]");
     let _ = writeln!(
         w,
-        "  solve    <instance> [--exact] [--preset P] [-j N|--workers N] [--node-budget N] \
-         [--coverage B] [--gub cols:bound]… [--trace <path>] [--stats] [--metrics <path>]"
+        "  solve    <instance> [--exact] [--preset P] [-j N|--workers N] [--coverage B] \
+         [--gub cols:bound]… [--trace <path>] [--stats] [--metrics <path>]"
     );
     let _ = writeln!(
         w,
         "  batch    <easy|difficult|challenging|all> [-j N] [--preset P] [--seed S] \
-         [--node-budget N] [--coverage B]"
+         [--coverage B]"
     );
     let _ = writeln!(
         w,
@@ -218,18 +211,6 @@ fn parse_workers(args: &[String], default: usize) -> Result<usize, Box<dyn std::
             .and_then(|n| n.parse::<usize>().ok())
             .ok_or_else(|| usage("-j/--workers needs a thread count (0 = sized to the cores)")),
         None => Ok(default),
-    }
-}
-
-/// Parses `--node-budget N` (a cap on live ZDD nodes; absent = unlimited).
-fn parse_node_budget(args: &[String]) -> Result<Option<usize>, Box<dyn std::error::Error>> {
-    match args.iter().position(|a| a == "--node-budget") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|n| n.parse::<usize>().ok())
-            .map(Some)
-            .ok_or_else(|| usage("--node-budget needs a node count")),
-        None => Ok(None),
     }
 }
 
@@ -409,7 +390,6 @@ fn cmd_solve(args: &[String]) -> CliResult {
     };
     let workers = parse_workers(args, 0)?;
     let preset = parse_preset(args)?;
-    let node_budget = parse_node_budget(args)?;
     let coverage = parse_coverage(args)?;
     let gub_groups = parse_gub_groups(args)?;
     // The instance is the first positional argument (skipping flag values).
@@ -425,7 +405,6 @@ fn cmd_solve(args: &[String]) -> CliResult {
             || a == "-j"
             || a == "--workers"
             || a == "--preset"
-            || a == "--node-budget"
             || a == "--coverage"
             || a == "--gub"
         {
@@ -466,11 +445,6 @@ fn cmd_solve(args: &[String]) -> CliResult {
     }
 
     let mut request = SolveRequest::for_matrix(&m).preset(preset).workers(workers);
-    if let Some(n) = node_budget {
-        let mut opts = *request.opts();
-        opts.core.kernel = opts.core.kernel.node_budget(n);
-        request = request.options(opts);
-    }
     if let Some(c) = &coverage {
         request = request.coverage(c.for_rows(m.num_rows()));
     }
@@ -529,9 +503,6 @@ fn cmd_solve(args: &[String]) -> CliResult {
         out.subgradient_iterations,
         out.total_time.as_secs_f64()
     );
-    if out.degraded {
-        eprintln!("note: ZDD node budget exhausted; the solve fell back to explicit reductions");
-    }
     if stats {
         print_stats(&out)?;
     }
@@ -541,7 +512,7 @@ fn cmd_solve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Renders the solve's metric families (`ucp_core_*`, `ucp_zdd_*`) in
+/// Renders the solve's metric families (`ucp_core_*`) in
 /// Prometheus text exposition format to `path` (`-` = stdout).
 fn write_metrics(out: &ScgOutcome, path: &str) -> CliResult {
     let registry = Registry::new();
@@ -571,13 +542,7 @@ fn cmd_batch(args: &[String]) -> CliResult {
             skip_next = false;
             continue;
         }
-        if a == "-j"
-            || a == "--workers"
-            || a == "--preset"
-            || a == "--seed"
-            || a == "--node-budget"
-            || a == "--coverage"
-        {
+        if a == "-j" || a == "--workers" || a == "--preset" || a == "--seed" || a == "--coverage" {
             skip_next = true;
             continue;
         }
@@ -598,7 +563,6 @@ fn cmd_batch(args: &[String]) -> CliResult {
     };
     let workers = parse_workers(args, 0)?;
     let preset = parse_preset(args)?;
-    let node_budget = parse_node_budget(args)?;
     let coverage = match parse_coverage(args)? {
         Some(CoverageArg::PerRow(_)) => {
             return Err(usage(
@@ -630,7 +594,6 @@ fn cmd_batch(args: &[String]) -> CliResult {
     // uses, so the CLI and the server build byte-identical requests.
     let mut spec = JobSpec::new(preset);
     spec.seed = seed;
-    spec.node_budget = node_budget;
     let jobs: Vec<_> = instances
         .iter()
         .map(|inst| {
@@ -685,12 +648,6 @@ fn cmd_batch(args: &[String]) -> CliResult {
         elapsed.as_secs_f64(),
         done as f64 / elapsed.as_secs_f64().max(1e-9),
     );
-    if stats.degraded > 0 {
-        println!(
-            "node budget pressure: {} degraded to explicit",
-            stats.degraded
-        );
-    }
     if failed > 0 {
         return Err(format!("{failed} of {total} jobs failed (stats: {stats:?})").into());
     }
@@ -960,8 +917,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Renders the `--stats` report: phase wall-clock breakdown and ZDD
-/// manager counters.
+/// Renders the `--stats` report: the phase wall-clock breakdown and the
+/// trace robustness counters.
 fn print_stats(out: &ScgOutcome) -> CliResult {
     let stdout = std::io::stdout();
     let mut w = stdout.lock();
@@ -982,39 +939,7 @@ fn print_stats(out: &ScgOutcome) -> CliResult {
         "sum",
         out.phase_times.total()
     )?;
-    let z = &out.zdd_stats;
-    writeln!(w, "zdd manager:")?;
-    writeln!(
-        w,
-        "  unique table  {:>12} hits  {:>12} misses  ({:.1}% shared)",
-        z.unique_hits,
-        z.unique_misses,
-        100.0 * z.unique_hit_rate()
-    )?;
-    writeln!(
-        w,
-        "  computed cache{:>12} hits  {:>12} misses  ({:.1}% hit rate, {} evicted)",
-        z.cache_hits,
-        z.cache_misses,
-        100.0 * z.cache_hit_rate(),
-        z.cache_evictions
-    )?;
-    writeln!(
-        w,
-        "  nodes         {:>12} peak  {:>12} live   relocations {}",
-        z.peak_nodes, z.live_nodes, z.unique_relocations
-    )?;
-    writeln!(
-        w,
-        "  collector     {:>12} runs  {:>12} nodes reclaimed",
-        z.gc_runs, z.gc_reclaimed
-    )?;
     writeln!(w, "robustness:")?;
-    writeln!(
-        w,
-        "  degraded      {:>12}   (node budget exhausted, explicit fallback)",
-        if out.degraded { "yes" } else { "no" }
-    )?;
     writeln!(
         w,
         "  dropped events{:>12}   (trace lines the sink failed to persist)",

@@ -33,7 +33,6 @@ fn done_result() -> JobResultDto {
         columns: vec![0, 2],
         iterations: 1,
         subgradient_iterations: 10,
-        degraded: false,
         total_seconds: 0.001,
         core_rows: 3,
         core_cols: 3,

@@ -9,8 +9,8 @@
 //! * a panicking job is contained the same way.
 
 use std::sync::Arc;
-use ucp::cover::{CoreOptions, CoverMatrix};
-use ucp::ucp_core::{Preset, Scg, ScgOptions, ScgOutcome, SolveRequest, ZddOptions};
+use ucp::cover::CoverMatrix;
+use ucp::ucp_core::{Preset, Scg, ScgOptions, ScgOutcome, SolveRequest};
 use ucp::ucp_engine::{Engine, EngineConfig, JobError};
 use ucp::ucp_telemetry::{Event, Probe};
 use ucp::workloads::suite;
@@ -77,74 +77,6 @@ fn batch_is_bit_identical_to_the_serial_loop() {
             );
         }
     }
-}
-
-/// Kernel tunables are a speed/memory dial, never a semantics dial: a
-/// 4-worker batch whose jobs run an aggressively collecting kernel
-/// (tiny `gc_threshold`, full implicit reduction so the collector has
-/// real work) must keep every job's peak node count under a configured
-/// ceiling, actually collect, and still return bit-identical answers
-/// to the same schedule on the default kernel. The row family is built
-/// without garbage, so the instances are two challenging ones whose
-/// implicit reductions drop enough intermediate families to collect.
-#[test]
-fn batch_with_gc_kernel_stays_under_the_node_ceiling() {
-    const NODE_CEILING: usize = 4096;
-    let insts = shared(suite::challenging(), 2);
-    let schedule = |kernel: ZddOptions| ScgOptions {
-        core: CoreOptions {
-            // Disable the MaxR/MaxC early exit so the implicit phase
-            // reduces to a fixpoint and crosses GC checkpoints.
-            max_rows: 0,
-            max_cols: 0,
-            kernel,
-        },
-        ..Preset::Fast.options()
-    };
-    let reference: Vec<ScgOutcome> = insts
-        .iter()
-        .map(|(_, m)| {
-            Scg::run(
-                SolveRequest::for_shared(Arc::clone(m)).options(schedule(ZddOptions::default())),
-            )
-            .expect("no cancel flag")
-        })
-        .collect();
-    let engine = Engine::start(EngineConfig {
-        workers: 4,
-        queue_capacity: insts.len(),
-    });
-    let kernel = ZddOptions::new().gc_threshold(64).gc_ratio(1.1);
-    let jobs: Vec<_> = insts
-        .iter()
-        .map(|(_, m)| {
-            engine
-                .submit(SolveRequest::for_shared(Arc::clone(m)).options(schedule(kernel)))
-                .unwrap()
-        })
-        .collect();
-    let outs: Vec<ScgOutcome> = jobs.into_iter().map(|j| j.wait().unwrap()).collect();
-    engine.shutdown();
-    let mut gc_runs = 0u64;
-    for ((name, _), (got, want)) in insts.iter().zip(outs.iter().zip(&reference)) {
-        assert!(
-            got.zdd_stats.peak_nodes <= NODE_CEILING,
-            "{name}: peak {} nodes breached the {NODE_CEILING}-node ceiling",
-            got.zdd_stats.peak_nodes
-        );
-        gc_runs += got.zdd_stats.gc_runs;
-        assert_eq!(got.cost, want.cost, "{name}: GC kernel changed the cost");
-        assert_eq!(
-            got.lower_bound, want.lower_bound,
-            "{name}: GC kernel changed the bound"
-        );
-        assert_eq!(
-            got.solution.cols(),
-            want.solution.cols(),
-            "{name}: GC kernel changed the chosen columns"
-        );
-    }
-    assert!(gc_runs >= 1, "aggressive kernel never collected");
 }
 
 /// STS(9) with a huge restart schedule: its Lagrangian bound never

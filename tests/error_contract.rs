@@ -9,7 +9,7 @@ use ucp::cover::{ConstraintError, ParseMatrixError};
 use ucp::logic::{BuildCoveringError, ParsePlaError};
 use ucp::lp::SolveLpError;
 use ucp::ucp_core::wire::WireCode;
-use ucp::ucp_core::{SolveError, WireError, ZddOverflow};
+use ucp::ucp_core::{SolveError, WireError};
 use ucp::ucp_engine::{JobError, SubmitError};
 
 /// Walks a value through `&dyn Error`: Display must render nonempty,
@@ -23,13 +23,6 @@ fn check(err: &dyn Error) {
         depth += 1;
         assert!(depth < 8, "unterminated source chain");
         cur = e.source();
-    }
-}
-
-fn overflow() -> ZddOverflow {
-    ZddOverflow {
-        budget: 16,
-        live: 17,
     }
 }
 
@@ -76,7 +69,6 @@ fn every_public_error_enum_implements_error_uniformly() {
         Box::new(SolveError::Expired),
         Box::new(SolveError::InvalidConstraints(bad_constraints())),
         Box::new(bad_constraints()),
-        Box::new(overflow()),
     ];
     for err in &errs {
         check(err.as_ref());
