@@ -1,4 +1,4 @@
-//! Boolean connectives via the `apply` recursion.
+//! Boolean connectives via the `apply` recursion, and restriction.
 
 use crate::manager::{BOp, Bdd};
 use crate::node::BddId;
@@ -105,20 +105,6 @@ impl Bdd {
         }
     }
 
-    /// Implication `f → g` as a function.
-    pub fn implies(&mut self, f: BddId, g: BddId) -> BddId {
-        let nf = self.not(f);
-        self.or(nf, g)
-    }
-
-    /// If-then-else `i ? t : e`.
-    pub fn ite(&mut self, i: BddId, t: BddId, e: BddId) -> BddId {
-        let it = self.and(i, t);
-        let ni = self.not(i);
-        let ne = self.and(ni, e);
-        self.or(it, ne)
-    }
-
     /// Decides whether `f ≤ g` (i.e. `f → g` is a tautology).
     ///
     /// Splits both functions on their top variable and stops at constants;
@@ -143,14 +129,29 @@ impl Bdd {
         r
     }
 
-    /// Conjunction of many functions.
-    pub fn and_all<I: IntoIterator<Item = BddId>>(&mut self, fs: I) -> BddId {
-        fs.into_iter().fold(BddId::TRUE, |acc, f| self.and(acc, f))
-    }
-
-    /// Disjunction of many functions.
-    pub fn or_all<I: IntoIterator<Item = BddId>>(&mut self, fs: I) -> BddId {
-        fs.into_iter().fold(BddId::FALSE, |acc, f| self.or(acc, f))
+    /// The cofactor `f|v=val`.
+    pub fn restrict(&mut self, f: BddId, v: u32, val: bool) -> BddId {
+        if f.is_const() {
+            return f;
+        }
+        let top = self.raw_var(f);
+        if top > v {
+            return f;
+        }
+        if top == v {
+            return if val { self.hi(f) } else { self.lo(f) };
+        }
+        let op = if val { BOp::Restrict1 } else { BOp::Restrict0 };
+        let key = (op, f, BddId(v));
+        if let Some(&r) = self.cache.get(&key) {
+            return r;
+        }
+        let (lo, hi) = (self.lo(f), self.hi(f));
+        let nlo = self.restrict(lo, v, val);
+        let nhi = self.restrict(hi, v, val);
+        let r = self.mk(top, nlo, nhi);
+        self.cache.insert(key, r);
+        r
     }
 }
 
@@ -183,18 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn ite_selects() {
-        let mut b = Bdd::default();
-        let x = b.var(0);
-        let t = b.var(1);
-        let e = b.var(2);
-        let f = b.ite(x, t, e);
-        // f|x=1 == t, f|x=0 == e
-        assert_eq!(b.cofactors(f, 0).1, t);
-        assert_eq!(b.cofactors(f, 0).0, e);
-    }
-
-    #[test]
     fn implication_order() {
         let mut b = Bdd::default();
         let x = b.var(0);
@@ -207,12 +196,14 @@ mod tests {
     }
 
     #[test]
-    fn and_or_all() {
+    fn restrict_fixes_variable() {
         let mut b = Bdd::default();
-        let vars: Vec<_> = (0..4).map(|i| b.var(i)).collect();
-        let all = b.and_all(vars.clone());
-        let any = b.or_all(vars);
-        assert_eq!(b.sat_count(all, 4), 1);
-        assert_eq!(b.sat_count(any, 4), 15);
+        let x = b.var(0);
+        let y = b.var(1);
+        let f = b.and(x, y);
+        assert_eq!(b.restrict(f, 0, true), y);
+        assert_eq!(b.restrict(f, 0, false), BddId::FALSE);
+        // Restricting a variable not in the support is the identity.
+        assert_eq!(b.restrict(f, 9, true), f);
     }
 }

@@ -43,26 +43,26 @@ pub(crate) enum BOp {
     Or,
     Xor,
     Not,
-    Exists,
-    Forall,
     Restrict1,
     Restrict0,
     Leq,
 }
 
+/// Initial capacity of the unique (hash-consing) table.
+const UNIQUE_CAPACITY: usize = 1 << 10;
+
+/// Initial capacity of the computed (memo) cache.
+const CACHE_CAPACITY: usize = 1 << 12;
+
 /// A hash-consed store of reduced ordered BDD nodes.
 ///
 /// Variables are `u32` indices ordered by value (smaller = nearer the root).
-/// Managers are constructed through the [`BddOptions`](crate::BddOptions)
-/// builder (`Bdd::default()` is shorthand for
-/// `BddOptions::default().build()`), the same construction idiom as the
-/// ZDD manager.
 ///
 /// # Example
 ///
 /// ```
-/// use bdd::BddOptions;
-/// let mut b = BddOptions::new().build();
+/// use bdd::Bdd;
+/// let mut b = Bdd::default();
 /// let x0 = b.var(0);
 /// let nx0 = b.not(x0);
 /// let t = b.or(x0, nx0);
@@ -76,20 +76,7 @@ pub struct Bdd {
 }
 
 impl Default for Bdd {
-    /// Equivalent to `BddOptions::default().build()`.
-    ///
-    /// (The previous derived `Default` produced a store with *no*
-    /// constant nodes — any use would have indexed out of bounds.)
     fn default() -> Self {
-        crate::BddOptions::default().build()
-    }
-}
-
-impl Bdd {
-    /// Constructs a manager from validated options
-    /// ([`BddOptions::build`](crate::BddOptions::build) is the public
-    /// entry).
-    pub(crate) fn with_options(opts: crate::BddOptions) -> Self {
         let t = |_| BddNode {
             var: TERMINAL_VAR,
             lo: BddId::FALSE,
@@ -97,23 +84,13 @@ impl Bdd {
         };
         Bdd {
             nodes: vec![t(0), t(1)],
-            unique: FxMap::with_capacity_and_hasher(opts.unique_capacity, Default::default()),
-            cache: FxMap::with_capacity_and_hasher(opts.cache_capacity, Default::default()),
+            unique: FxMap::with_capacity_and_hasher(UNIQUE_CAPACITY, Default::default()),
+            cache: FxMap::with_capacity_and_hasher(CACHE_CAPACITY, Default::default()),
         }
     }
+}
 
-    /// The constant false function.
-    #[inline]
-    pub fn zero(&self) -> BddId {
-        BddId::FALSE
-    }
-
-    /// The constant true function.
-    #[inline]
-    pub fn one(&self) -> BddId {
-        BddId::TRUE
-    }
-
+impl Bdd {
     /// The projection function of variable `v`.
     pub fn var(&mut self, v: u32) -> BddId {
         self.mk(v, BddId::FALSE, BddId::TRUE)
@@ -174,7 +151,7 @@ impl Bdd {
     /// Cofactors of `f` with respect to variable `v` (which need not be the
     /// top variable): `(f|v=0, f|v=1)`.
     #[inline]
-    pub fn cofactors(&self, f: BddId, v: u32) -> (BddId, BddId) {
+    pub(crate) fn cofactors(&self, f: BddId, v: u32) -> (BddId, BddId) {
         if !f.is_const() && self.raw_var(f) == v {
             (self.lo(f), self.hi(f))
         } else {
@@ -190,20 +167,6 @@ impl Bdd {
     /// Returns `true` when the store holds only constants.
     pub fn is_empty(&self) -> bool {
         self.nodes.len() == 2
-    }
-
-    /// Number of distinct internal nodes reachable from `f`.
-    pub fn node_count(&self, f: BddId) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(n) = stack.pop() {
-            if n.is_const() || !seen.insert(n) {
-                continue;
-            }
-            stack.push(self.lo(n));
-            stack.push(self.hi(n));
-        }
-        seen.len()
     }
 }
 

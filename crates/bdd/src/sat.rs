@@ -1,8 +1,7 @@
-//! Satisfying-assignment queries: evaluation, counting, enumeration.
+//! Satisfying-assignment queries: evaluation and minterm enumeration.
 
 use crate::manager::Bdd;
 use crate::node::BddId;
-use std::collections::HashMap;
 
 impl Bdd {
     /// Evaluates `f` under a total assignment (`assignment[v]` is the value
@@ -15,78 +14,6 @@ impl Bdd {
             cur = if val { self.hi(cur) } else { self.lo(cur) };
         }
         cur.is_true()
-    }
-
-    /// Number of satisfying assignments over a universe of `num_vars`
-    /// variables (indices `0..num_vars`), saturating at `u128::MAX`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` depends on a variable `≥ num_vars`.
-    pub fn sat_count(&self, f: BddId, num_vars: u32) -> u128 {
-        let mut memo: HashMap<BddId, u128> = HashMap::new();
-        // count(f) with top-var compensation: each skipped level doubles.
-        let c = self.sat_count_rec(f, num_vars, &mut memo);
-        let top = if f.is_const() {
-            num_vars
-        } else {
-            self.raw_var(f)
-        };
-        assert!(top <= num_vars || f.is_const(), "variable outside universe");
-        c << top.min(num_vars)
-    }
-
-    fn sat_count_rec(&self, f: BddId, num_vars: u32, memo: &mut HashMap<BddId, u128>) -> u128 {
-        // Returns the count over variables strictly below var_of(f)..num_vars,
-        // i.e. assuming f sits at its own level.
-        match f {
-            BddId::FALSE => 0,
-            BddId::TRUE => 1,
-            _ => {
-                if let Some(&c) = memo.get(&f) {
-                    return c;
-                }
-                let v = self.raw_var(f);
-                assert!(v < num_vars, "variable outside universe");
-                let (lo, hi) = (self.lo(f), self.hi(f));
-                let lo_gap = self.level_of(lo, num_vars) - v - 1;
-                let hi_gap = self.level_of(hi, num_vars) - v - 1;
-                let cl = self.sat_count_rec(lo, num_vars, memo) << lo_gap;
-                let ch = self.sat_count_rec(hi, num_vars, memo) << hi_gap;
-                let c = cl.saturating_add(ch);
-                memo.insert(f, c);
-                c
-            }
-        }
-    }
-
-    fn level_of(&self, f: BddId, num_vars: u32) -> u32 {
-        if f.is_const() {
-            num_vars
-        } else {
-            self.raw_var(f)
-        }
-    }
-
-    /// Finds one satisfying assignment as `(var, value)` pairs for the
-    /// variables on the chosen path, or `None` if `f` is unsatisfiable.
-    pub fn one_sat(&self, f: BddId) -> Option<Vec<(u32, bool)>> {
-        if f.is_false() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while !cur.is_const() {
-            let v = self.raw_var(cur);
-            if !self.hi(cur).is_false() {
-                path.push((v, true));
-                cur = self.hi(cur);
-            } else {
-                path.push((v, false));
-                cur = self.lo(cur);
-            }
-        }
-        Some(path)
     }
 
     /// Enumerates every minterm (total assignment over `0..num_vars`) that
@@ -143,43 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn sat_count_matches_truth_table() {
-        let mut b = Bdd::default();
-        let x = b.var(0);
-        let y = b.var(1);
-        let z = b.var(2);
-        let xy = b.and(x, y);
-        let f = b.or(xy, z);
-        // Truth table: x&y | z has 5 of 8 rows true.
-        assert_eq!(b.sat_count(f, 3), 5);
-        assert_eq!(b.sat_count(BddId::TRUE, 3), 8);
-        assert_eq!(b.sat_count(BddId::FALSE, 3), 0);
-    }
-
-    #[test]
-    fn sat_count_skipped_levels() {
-        let mut b = Bdd::default();
-        let z = b.var(2);
-        // f = x2 over a universe of 4 vars: half the 16 rows.
-        assert_eq!(b.sat_count(z, 4), 8);
-    }
-
-    #[test]
-    fn one_sat_satisfies() {
-        let mut b = Bdd::default();
-        let x = b.var(0);
-        let ny = b.nvar(1);
-        let f = b.and(x, ny);
-        let sat = b.one_sat(f).expect("satisfiable");
-        let mut assignment = vec![false; 2];
-        for (v, val) in sat {
-            assignment[v as usize] = val;
-        }
-        assert!(b.eval(f, &assignment));
-        assert!(b.one_sat(BddId::FALSE).is_none());
-    }
-
-    #[test]
     fn minterms_enumeration() {
         let mut b = Bdd::default();
         let x = b.var(0);
@@ -188,6 +78,7 @@ mod tests {
         let mut ms = b.minterms(f, 2);
         ms.sort_unstable();
         assert_eq!(ms, vec![0b01, 0b10, 0b11]);
-        assert_eq!(b.minterms(f, 2).len() as u128, b.sat_count(f, 2));
+        // A variable outside the function's support doubles the count.
+        assert_eq!(b.minterms(f, 3).len(), 6);
     }
 }

@@ -73,7 +73,7 @@ pub fn dual_ascent_bound(a: &CoverMatrix) -> f64 {
 
 /// The Lagrangian lower bound after a (default-length) subgradient phase,
 /// initialised from dual ascent so that Proposition 1's dominance holds.
-pub fn lagrangian_bound(a: &CoverMatrix) -> f64 {
+fn lagrangian_bound(a: &CoverMatrix) -> f64 {
     let opts = SubgradientOptions::default();
     let r = ascent_impl(a, &opts, None, None, None, &mut NoopProbe);
     r.lb.max(dual_ascent_bound(a))

@@ -181,28 +181,7 @@ pub struct DualLagEval {
 ///
 /// Panics if `mu.len() != a.num_cols()`.
 pub fn eval_dual_lagrangian(a: &CoverMatrix, costs: &[f64], mu: &[f64]) -> DualLagEval {
-    eval_dual_lagrangian_with(a, costs, mu, None)
-}
-
-/// [`eval_dual_lagrangian`] of the set-multicover dual (`max b'm` under
-/// the same column constraints): the relaxed objective coefficient of
-/// `m_i` becomes `ẽ_i = b_i − Σ_{j ∋ i} μ_j`. `demand = None` (or all
-/// ones) is the unate specialization, bit-exact to the historical
-/// evaluator.
-///
-/// # Panics
-///
-/// Panics if `mu` or a provided `demand` has the wrong length.
-pub fn eval_dual_lagrangian_with(
-    a: &CoverMatrix,
-    costs: &[f64],
-    mu: &[f64],
-    demand: Option<&[u32]>,
-) -> DualLagEval {
     assert_eq!(mu.len(), a.num_cols(), "one multiplier per column");
-    if let Some(d) = demand {
-        assert_eq!(d.len(), a.num_rows(), "one coverage requirement per row");
-    }
     let view = a.sparse();
     let caps = row_caps(a, costs);
     let mut value: f64 = mu.iter().zip(costs).map(|(&u, &c)| u * c).sum();
@@ -212,7 +191,7 @@ pub fn eval_dual_lagrangian_with(
         for &j in view.row(i) {
             sum += mu[j as usize];
         }
-        let e_tilde = demand.map_or(1.0, |d| d[i] as f64) - sum;
+        let e_tilde = 1.0 - sum;
         if e_tilde > 0.0 && cap.is_finite() {
             m[i] = *cap;
             value += e_tilde * cap;

@@ -29,13 +29,6 @@ pub struct PenaltyOutcome {
     pub no_improvement_possible: bool,
 }
 
-impl PenaltyOutcome {
-    /// Total number of decided columns.
-    pub fn decided(&self) -> usize {
-        self.fix_in.len() + self.fix_out.len()
-    }
-}
-
 const EPS: f64 = 1e-9;
 
 /// Lagrangian penalties (eqs. 3–4) at a multiplier vector with bound
@@ -111,34 +104,35 @@ pub fn dual_penalties(a: &CoverMatrix, base_m: &[f64], ub: f64) -> PenaltyOutcom
     out
 }
 
-/// The classical **limit-bound theorem** (Theorem 2; Coudert's form): given
-/// an independent set of rows with bound `lb_mis`, any column covering none
-/// of those rows and with `lb_mis + c_j ≥ ub` can be removed.
-///
-/// Provided both as a baseline for tests of Proposition 3 (every column it
-/// removes, the dual penalties remove too) and for the branch-and-bound
-/// baseline solver.
-pub fn limit_bound_removals(
-    a: &CoverMatrix,
-    independent_rows: &[usize],
-    lb_mis: f64,
-    ub: f64,
-) -> Vec<usize> {
-    if !ub.is_finite() {
-        return Vec::new();
-    }
-    let mut in_mis = vec![false; a.num_rows()];
-    for &i in independent_rows {
-        in_mis[i] = true;
-    }
-    (0..a.num_cols())
-        .filter(|&j| a.col_rows(j).iter().all(|&i| !in_mis[i]) && lb_mis + a.cost(j) >= ub - EPS)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classical **limit-bound theorem** (Theorem 2; Coudert's form): given
+    /// an independent set of rows with bound `lb_mis`, any column covering none
+    /// of those rows and with `lb_mis + c_j ≥ ub` can be removed.
+    ///
+    /// The baseline of Proposition 3: every column it removes, the dual
+    /// penalties remove too.
+    fn limit_bound_removals(
+        a: &CoverMatrix,
+        independent_rows: &[usize],
+        lb_mis: f64,
+        ub: f64,
+    ) -> Vec<usize> {
+        if !ub.is_finite() {
+            return Vec::new();
+        }
+        let mut in_mis = vec![false; a.num_rows()];
+        for &i in independent_rows {
+            in_mis[i] = true;
+        }
+        (0..a.num_cols())
+            .filter(|&j| {
+                a.col_rows(j).iter().all(|&i| !in_mis[i]) && lb_mis + a.cost(j) >= ub - EPS
+            })
+            .collect()
+    }
 
     #[test]
     fn lagrangian_fixes_cheap_columns_in() {
@@ -153,7 +147,7 @@ mod tests {
     #[test]
     fn no_ub_no_penalties() {
         let out = lagrangian_penalties(&[-5.0, 5.0], 0.0, f64::INFINITY);
-        assert_eq!(out.decided(), 0);
+        assert!(out.fix_in.is_empty() && out.fix_out.is_empty());
     }
 
     #[test]

@@ -64,23 +64,7 @@ impl PrimalEval {
 /// assert!(at_one.p[0]);
 /// ```
 pub fn eval_primal(a: &CoverMatrix, lambda: &[f64]) -> PrimalEval {
-    eval_primal_with(a, lambda, None)
-}
-
-/// [`eval_primal`] of the set-multicover relaxation `Ap ≥ b`: the value
-/// term becomes `Σ b_i λ_i` and the residual `s_i = b_i − (Ap)_i`.
-/// `demand = None` (or all ones) is the unate specialization, bit-exact
-/// to the historical evaluator — `λ_i · 1.0` and `1.0 − covered` are the
-/// operations it always performed.
-///
-/// # Panics
-///
-/// Panics if `lambda` or a provided `demand` has the wrong length.
-pub fn eval_primal_with(a: &CoverMatrix, lambda: &[f64], demand: Option<&[u32]>) -> PrimalEval {
     assert_eq!(lambda.len(), a.num_rows(), "one multiplier per row");
-    if let Some(d) = demand {
-        assert_eq!(d.len(), a.num_rows(), "one coverage requirement per row");
-    }
     let view = a.sparse();
     let n = a.num_cols();
     // Each reduced cost is rebuilt over the CSC column slice in ascending
@@ -97,12 +81,7 @@ pub fn eval_primal_with(a: &CoverMatrix, lambda: &[f64], demand: Option<&[u32]>)
         }
     }
     let p: Vec<bool> = c_tilde.iter().map(|&c| c <= 0.0).collect();
-    let mut value: f64 = match demand {
-        // `Σ b_i λ_i` in the same fold order (`λ_i · 1.0 == λ_i`, so an
-        // all-ones demand is bit-identical to the plain sum).
-        Some(d) => lambda.iter().zip(d).map(|(&l, &b)| l * b as f64).sum(),
-        None => lambda.iter().sum(),
-    };
+    let mut value: f64 = lambda.iter().sum();
     for j in 0..n {
         if p[j] {
             value += c_tilde[j];
@@ -113,7 +92,7 @@ pub fn eval_primal_with(a: &CoverMatrix, lambda: &[f64], demand: Option<&[u32]>)
     let mut norm2 = 0.0f64;
     for (i, s_out) in subgradient.iter_mut().enumerate() {
         let covered = view.row(i).iter().filter(|&&j| p[j as usize]).count() as f64;
-        let s = demand.map_or(1.0, |d| d[i] as f64) - covered;
+        let s = 1.0 - covered;
         if s > 0.0 {
             violated += 1;
         }

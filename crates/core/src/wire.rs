@@ -929,7 +929,7 @@ impl SubmitBody {
 /// Envelope version check: absent tag = current version; the previous
 /// [`WIRE_API_V1`] is accepted too (the `/2` additions are optional
 /// fields, so `/1` bodies keep their meaning); anything else is refused.
-pub fn check_api_tag(v: &JsonValue) -> Result<(), WireError> {
+fn check_api_tag(v: &JsonValue) -> Result<(), WireError> {
     match v.get("api") {
         None => Ok(()),
         Some(tag) if tag.as_str() == Some(WIRE_API) || tag.as_str() == Some(WIRE_API_V1) => Ok(()),

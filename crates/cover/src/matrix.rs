@@ -238,14 +238,6 @@ impl CoverMatrix {
             .map(|&j| self.costs[j])
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Density: `nnz / (rows × cols)`.
-    pub fn density(&self) -> f64 {
-        if self.rows.is_empty() || self.num_cols == 0 {
-            return 0.0;
-        }
-        self.nnz() as f64 / (self.num_rows() * self.num_cols) as f64
-    }
 }
 
 impl fmt::Display for CoverMatrix {
@@ -427,7 +419,6 @@ mod tests {
         assert!(!m.covers(1, 0));
         assert!(m.integer_costs());
         assert!(m.is_coverable());
-        assert!((m.density() - 0.5).abs() < 1e-12);
     }
 
     #[test]

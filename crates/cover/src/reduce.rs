@@ -78,31 +78,6 @@ impl<'a> Reducer<'a> {
         &self.fixed
     }
 
-    /// Reduction statistics.
-    pub fn stats(&self) -> ReductionStats {
-        self.stats
-    }
-
-    /// Returns `true` if the row is still active (uncovered, not dominated).
-    pub fn row_active(&self, i: usize) -> bool {
-        self.row_active[i]
-    }
-
-    /// Returns `true` if the column is still active.
-    pub fn col_active(&self, j: usize) -> bool {
-        self.col_active[j]
-    }
-
-    /// Active row count.
-    pub fn active_rows(&self) -> usize {
-        self.row_active.iter().filter(|&&a| a).count()
-    }
-
-    /// Active column count.
-    pub fn active_cols(&self) -> usize {
-        self.col_active.iter().filter(|&&a| a).count()
-    }
-
     /// Returns `true` if some active row has no active column left —
     /// the residual problem is infeasible.
     pub fn infeasible(&self) -> bool {
@@ -135,7 +110,7 @@ impl<'a> Reducer<'a> {
 
     /// Fixes column `j` into the solution: all rows it covers are satisfied
     /// and removed, and the column itself is deactivated.
-    pub fn fix_column(&mut self, j: usize) {
+    fn fix_column(&mut self, j: usize) {
         if !self.col_active[j] {
             return;
         }
@@ -153,14 +128,8 @@ impl<'a> Reducer<'a> {
         self.deactivate_col(j);
     }
 
-    /// Permanently discards column `j` (e.g. proven non-optimal by a penalty
-    /// test).
-    pub fn exclude_column(&mut self, j: usize) {
-        self.deactivate_col(j);
-    }
-
     /// One essential-column pass. Returns the number of columns fixed.
-    pub fn essential_pass(&mut self) -> usize {
+    fn essential_pass(&mut self) -> usize {
         let mut fixed = 0;
         loop {
             let mut found = None;
@@ -212,7 +181,7 @@ impl<'a> Reducer<'a> {
     /// One row-dominance pass: removes every active row whose active column
     /// set is a (possibly equal) superset of another active row's. Returns
     /// the number of rows removed.
-    pub fn row_dominance_pass(&mut self) -> usize {
+    fn row_dominance_pass(&mut self) -> usize {
         let mut order: Vec<usize> = (0..self.m.num_rows())
             .filter(|&i| self.row_active[i])
             .collect();
@@ -252,7 +221,7 @@ impl<'a> Reducer<'a> {
     /// One column-dominance pass: removes every active column `k` such that
     /// some other active column `j` covers a superset of `k`'s active rows
     /// at no greater cost. Returns the number of columns removed.
-    pub fn col_dominance_pass(&mut self) -> usize {
+    fn col_dominance_pass(&mut self) -> usize {
         let mut order: Vec<usize> = (0..self.m.num_cols())
             .filter(|&j| self.col_active[j])
             .collect();
@@ -384,6 +353,10 @@ fn is_subset(a: &[usize], b: &[usize]) -> bool {
 mod tests {
     use super::*;
 
+    fn active(mask: &[bool]) -> usize {
+        mask.iter().filter(|&&a| a).count()
+    }
+
     #[test]
     fn subset_helper() {
         assert!(is_subset(&[1, 3], &[0, 1, 2, 3]));
@@ -400,9 +373,9 @@ mod tests {
         let fixed = r.essential_pass();
         assert_eq!(fixed, 1);
         assert_eq!(r.fixed(), &[0]);
-        assert!(!r.row_active(0));
-        assert!(!r.row_active(1)); // covered by column 0 too
-        assert!(r.row_active(2));
+        assert!(!r.row_active[0]);
+        assert!(!r.row_active[1]); // covered by column 0 too
+        assert!(r.row_active[2]);
     }
 
     #[test]
@@ -415,7 +388,7 @@ mod tests {
         // covers {2} — they dominate each other, one remains, becomes
         // essential.
         assert!(r.fixed().len() == 2);
-        assert_eq!(r.active_rows(), 0);
+        assert_eq!(active(&r.row_active), 0);
     }
 
     #[test]
@@ -424,8 +397,8 @@ mod tests {
         let mut r = Reducer::new(&m);
         let removed = r.row_dominance_pass();
         assert_eq!(removed, 1);
-        assert!(r.row_active(0));
-        assert!(!r.row_active(1));
+        assert!(r.row_active[0]);
+        assert!(!r.row_active[1]);
     }
 
     #[test]
@@ -433,7 +406,7 @@ mod tests {
         let m = CoverMatrix::from_rows(2, vec![vec![0, 1], vec![0, 1], vec![0, 1]]);
         let mut r = Reducer::new(&m);
         r.row_dominance_pass();
-        assert_eq!(r.active_rows(), 1);
+        assert_eq!(active(&r.row_active), 1);
     }
 
     #[test]
@@ -444,14 +417,14 @@ mod tests {
         let m = CoverMatrix::from_rows(2, rows.clone());
         let mut r = Reducer::new(&m);
         r.col_dominance_pass();
-        assert!(!r.col_active(0));
-        assert!(r.col_active(1));
+        assert!(!r.col_active[0]);
+        assert!(r.col_active[1]);
 
         let m2 = CoverMatrix::with_costs(2, rows, vec![1.0, 5.0]);
         let mut r2 = Reducer::new(&m2);
         r2.col_dominance_pass();
-        assert!(r2.col_active(0));
-        assert!(r2.col_active(1));
+        assert!(r2.col_active[0]);
+        assert!(r2.col_active[1]);
     }
 
     #[test]
@@ -459,7 +432,7 @@ mod tests {
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1, 2], vec![0, 1, 2]]);
         let mut r = Reducer::new(&m);
         r.col_dominance_pass();
-        assert_eq!(r.active_cols(), 1);
+        assert_eq!(active(&r.col_active), 1);
     }
 
     #[test]
@@ -500,9 +473,9 @@ mod tests {
     fn with_state_applies_choices() {
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![1, 2]]);
         let r = Reducer::with_state(&m, &[1], &[]);
-        assert_eq!(r.active_rows(), 0);
+        assert_eq!(active(&r.row_active), 0);
         let r2 = Reducer::with_state(&m, &[], &[1]);
-        assert_eq!(r2.active_cols(), 2);
+        assert_eq!(active(&r2.col_active), 2);
         assert!(!r2.infeasible());
         let r3 = Reducer::with_state(&m, &[], &[0, 1]);
         assert!(r3.infeasible());
@@ -511,8 +484,7 @@ mod tests {
     #[test]
     fn exclude_then_essential() {
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![1, 2]]);
-        let mut r = Reducer::new(&m);
-        r.exclude_column(1);
+        let mut r = Reducer::with_state(&m, &[], &[1]);
         r.essential_pass();
         assert_eq!(r.fixed(), &[0, 2]);
     }

@@ -185,7 +185,7 @@ impl Cube {
     ///
     /// ```
     /// use logic::Cube;
-    /// let mut mgr = bdd::BddOptions::new().build();
+    /// let mut mgr = bdd::Bdd::default();
     /// let c: Cube = "1-0".parse().unwrap();
     /// let f = c.to_bdd(&mut mgr);
     /// assert!(mgr.eval(f, &[true, false, false]));
@@ -223,7 +223,7 @@ impl Cube {
     ///
     /// ```
     /// use logic::Cube;
-    /// let mut mgr = bdd::BddOptions::new().build();
+    /// let mut mgr = bdd::Bdd::default();
     /// let x0 = mgr.var(0);
     /// let x1 = mgr.var(1);
     /// let f = mgr.or(x0, x1);

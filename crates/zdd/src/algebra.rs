@@ -1,5 +1,5 @@
-//! The classical ZDD family algebra: union, intersection, difference and
-//! unate product.
+//! The family operations the prime generator calls: union, difference
+//! and change.
 
 use crate::manager::{Op, Zdd};
 use crate::node::{NodeId, Var};
@@ -29,29 +29,6 @@ impl Zdd {
         r
     }
 
-    /// Family intersection `f ∩ g`.
-    pub fn intersect(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == g {
-            return f;
-        }
-        if f == NodeId::EMPTY || g == NodeId::EMPTY {
-            return NodeId::EMPTY;
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        if let Some(r) = self.cache_get((Op::Intersect, a, b)) {
-            return r;
-        }
-        let (vf, vg) = (self.raw_var(f), self.raw_var(g));
-        let v = vf.min(vg);
-        let (f0, f1) = self.cofactors(f, v);
-        let (g0, g1) = self.cofactors(g, v);
-        let lo = self.intersect(f0, g0);
-        let hi = self.intersect(f1, g1);
-        let r = self.node(Var(v), lo, hi);
-        self.cache_put((Op::Intersect, a, b), r);
-        r
-    }
-
     /// Family difference `f ∖ g`.
     pub fn difference(&mut self, f: NodeId, g: NodeId) -> NodeId {
         if f == NodeId::EMPTY || f == g {
@@ -74,37 +51,28 @@ impl Zdd {
         r
     }
 
-    /// Unate product (join): `{a ∪ b : a ∈ f, b ∈ g}`.
-    ///
-    /// This is Minato's multiplication of unate cube set expressions; it is
-    /// commutative and distributes over [`Zdd::union`].
-    pub fn product(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == NodeId::EMPTY || g == NodeId::EMPTY {
+    /// Toggles `v` in every member of `f` (symmetric difference with `{v}`).
+    pub fn change(&mut self, f: NodeId, v: Var) -> NodeId {
+        if f == NodeId::EMPTY {
             return NodeId::EMPTY;
         }
-        if f == NodeId::BASE {
-            return g;
+        let top = self.raw_var(f);
+        if top > v.0 {
+            return self.node(v, NodeId::EMPTY, f);
         }
-        if g == NodeId::BASE {
-            return f;
+        if top == v.0 {
+            let (lo, hi) = (self.lo(f), self.hi(f));
+            return self.node(v, hi, lo);
         }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        if let Some(r) = self.cache_get((Op::Product, a, b)) {
+        let key = (Op::Change, f, NodeId(v.0));
+        if let Some(r) = self.cache_get(key) {
             return r;
         }
-        let (vf, vg) = (self.raw_var(f), self.raw_var(g));
-        let v = vf.min(vg);
-        let (f0, f1) = self.cofactors(f, v);
-        let (g0, g1) = self.cofactors(g, v);
-        // Members with v: f1*g1 ∪ f1*g0 ∪ f0*g1; without: f0*g0.
-        let p11 = self.product(f1, g1);
-        let p10 = self.product(f1, g0);
-        let p01 = self.product(f0, g1);
-        let u1 = self.union(p11, p10);
-        let hi = self.union(u1, p01);
-        let lo = self.product(f0, g0);
-        let r = self.node(Var(v), lo, hi);
-        self.cache_put((Op::Product, a, b), r);
+        let (lo, hi) = (self.lo(f), self.hi(f));
+        let nlo = self.change(lo, v);
+        let nhi = self.change(hi, v);
+        let r = self.node(Var(top), nlo, nhi);
+        self.cache_put(key, r);
         r
     }
 }
@@ -112,14 +80,19 @@ impl Zdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Zdd;
 
     fn family(z: &mut Zdd, sets: &[&[u32]]) -> NodeId {
-        let sets: Vec<Vec<Var>> = sets
-            .iter()
-            .map(|s| s.iter().map(|&v| Var(v)).collect())
+        z.from_sets(sets.iter().map(|s| s.iter().map(|&v| Var(v))))
+    }
+
+    /// The members of `f` as sorted raw-variable lists, sorted.
+    fn members(z: &Zdd, f: NodeId) -> Vec<Vec<u32>> {
+        let mut sets: Vec<Vec<u32>> = z
+            .sets(f)
+            .map(|s| s.into_iter().map(|v| v.0).collect())
             .collect();
-        z.from_sets(sets)
+        sets.sort();
+        sets
     }
 
     #[test]
@@ -128,21 +101,7 @@ mod tests {
         let a = family(&mut z, &[&[0], &[1, 2]]);
         let b = family(&mut z, &[&[1, 2], &[3]]);
         let u = z.union(a, b);
-        assert_eq!(z.count(u), 3);
-        assert!(z.contains_set(u, &[Var(0)]));
-        assert!(z.contains_set(u, &[Var(1), Var(2)]));
-        assert!(z.contains_set(u, &[Var(3)]));
-    }
-
-    #[test]
-    fn intersect_basic() {
-        let mut z = Zdd::default();
-        let a = family(&mut z, &[&[0], &[1, 2], &[]]);
-        let b = family(&mut z, &[&[1, 2], &[3], &[]]);
-        let i = z.intersect(a, b);
-        assert_eq!(z.count(i), 2);
-        assert!(z.contains_set(i, &[Var(1), Var(2)]));
-        assert!(z.contains_empty(i));
+        assert_eq!(members(&z, u), [vec![0], vec![1, 2], vec![3]]);
     }
 
     #[test]
@@ -151,8 +110,7 @@ mod tests {
         let a = family(&mut z, &[&[0], &[1, 2], &[4]]);
         let b = family(&mut z, &[&[1, 2]]);
         let d = z.difference(a, b);
-        assert_eq!(z.count(d), 2);
-        assert!(!z.contains_set(d, &[Var(1), Var(2)]));
+        assert_eq!(members(&z, d), [vec![0], vec![4]]);
     }
 
     #[test]
@@ -167,32 +125,21 @@ mod tests {
     }
 
     #[test]
-    fn product_joins_members() {
+    fn change_toggles() {
         let mut z = Zdd::default();
-        let a = family(&mut z, &[&[0], &[1]]);
-        let b = family(&mut z, &[&[2], &[3]]);
-        let p = z.product(a, b);
-        assert_eq!(z.count(p), 4);
-        assert!(z.contains_set(p, &[Var(0), Var(2)]));
-        assert!(z.contains_set(p, &[Var(1), Var(3)]));
+        let f = family(&mut z, &[&[0], &[1]]);
+        let c = z.change(f, Var(0));
+        assert_eq!(members(&z, c), [vec![], vec![0, 1]]);
+        // change is an involution
+        let back = z.change(c, Var(0));
+        assert_eq!(back, f);
     }
 
     #[test]
-    fn product_with_overlap_collapses_duplicates() {
+    fn change_below_support() {
         let mut z = Zdd::default();
-        let a = family(&mut z, &[&[0], &[0, 1]]);
-        let b = family(&mut z, &[&[0]]);
-        let p = z.product(a, b);
-        // {0}∪{0} = {0}, {0,1}∪{0} = {0,1}
-        assert_eq!(z.count(p), 2);
-    }
-
-    #[test]
-    fn product_base_is_identity() {
-        let mut z = Zdd::default();
-        let a = family(&mut z, &[&[0, 2], &[1]]);
-        let b = z.base();
-        assert_eq!(z.product(a, b), a);
-        assert_eq!(z.product(b, a), a);
+        let f = family(&mut z, &[&[1], &[2]]);
+        let c = z.change(f, Var(5));
+        assert_eq!(members(&z, c), [vec![1, 5], vec![2, 5]]);
     }
 }

@@ -1,28 +1,23 @@
-//! The computed cache: a fixed-size, direct-mapped, generational memo
-//! table for binary ZDD operations.
+//! The computed cache: a fixed-size, direct-mapped memo table for binary
+//! ZDD operations.
 //!
-//! The seed kernel memoised into an unbounded `HashMap`, which grows
-//! without limit over a long batch run and must be rebuilt (full
-//! deallocation + reallocation) on every GC. This cache is a flat array
-//! of 16-byte slots, sized once at construction:
+//! A flat array of 16-byte slots, sized once at construction, so memory
+//! stays bounded however long a manager runs:
 //!
 //! * **direct-mapped** — a colliding entry overwrites (an *eviction*);
 //!   losing a memo entry only costs recomputation, never correctness,
 //!   because recomputation interns identical canonical nodes.
-//! * **generational** — each slot's `meta` word packs the operation tag
-//!   (high 8 bits) with a 24-bit generation stamp. GC invalidates the
-//!   whole cache by bumping the live generation: O(1), no memory
-//!   traffic. The table is zeroed only on the (rare) 24-bit wraparound.
+//! * **tagged** — each slot's `meta` word packs the operation tag with a
+//!   valid bit, so a zeroed (never written) slot matches no key.
 
 use crate::node::NodeId;
 
-/// Bits of `meta` holding the generation stamp.
-const GEN_BITS: u32 = 24;
-const GEN_MASK: u32 = (1 << GEN_BITS) - 1;
+/// Bit of `meta` marking a written slot.
+const VALID: u32 = 1 << 31;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// One cache line entry: operands, result, and op-tag + generation.
+/// One cache line entry: operands, result, and op-tag + valid bit.
 #[derive(Clone, Copy, Default)]
 struct Slot {
     a: u32,
@@ -35,18 +30,14 @@ struct Slot {
 pub(crate) struct ComputedCache {
     slots: Box<[Slot]>,
     mask: usize,
-    /// Current generation; slot entries from older generations are dead.
-    /// Starts at 1 so zeroed slots (gen 0) never match.
-    gen: u32,
-    /// Live-slot overwrites by a different key (for stats).
+    /// Written-slot overwrites by a different key (for stats).
     evictions: u64,
 }
 
 impl std::fmt::Debug for ComputedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ComputedCache")
-            .field("capacity", &self.capacity())
-            .field("gen", &self.gen)
+            .field("capacity", &self.slots.len())
             .finish_non_exhaustive()
     }
 }
@@ -66,27 +57,20 @@ impl ComputedCache {
         ComputedCache {
             slots: vec![Slot::default(); cap].into_boxed_slice(),
             mask: cap - 1,
-            gen: 1,
             evictions: 0,
         }
     }
 
-    /// Slot count (a power of two).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Live-entry overwrites since construction.
+    /// Written-slot overwrites since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    /// Looks up the memoised result of `op(a, b)` for the live
-    /// generation.
+    /// Looks up the memoised result of `op(a, b)`.
     #[inline]
     pub fn get(&self, op: u8, a: NodeId, b: NodeId) -> Option<NodeId> {
         let s = &self.slots[slot_index(op, a.0, b.0, self.mask)];
-        if s.meta == (op as u32) << GEN_BITS | self.gen && s.a == a.0 && s.b == b.0 {
+        if s.meta == VALID | op as u32 && s.a == a.0 && s.b == b.0 {
             Some(NodeId(s.r))
         } else {
             None
@@ -97,8 +81,8 @@ impl ComputedCache {
     #[inline]
     pub fn put(&mut self, op: u8, a: NodeId, b: NodeId, r: NodeId) {
         let s = &mut self.slots[slot_index(op, a.0, b.0, self.mask)];
-        let meta = (op as u32) << GEN_BITS | self.gen;
-        if s.meta & GEN_MASK == self.gen && (s.meta != meta || s.a != a.0 || s.b != b.0) {
+        let meta = VALID | op as u32;
+        if s.meta & VALID != 0 && (s.meta != meta || s.a != a.0 || s.b != b.0) {
             self.evictions += 1;
         }
         *s = Slot {
@@ -107,19 +91,6 @@ impl ComputedCache {
             r: r.0,
             meta,
         };
-    }
-
-    /// Drops every entry in O(1) by advancing the generation. Node ids
-    /// cached before a GC compaction are dangling, so this must be
-    /// called whenever ids are remapped.
-    pub fn invalidate_all(&mut self) {
-        self.gen += 1;
-        if self.gen > GEN_MASK {
-            // 24-bit wraparound: stamps from 16M generations ago would
-            // alias, so pay for one real flush.
-            self.slots.fill(Slot::default());
-            self.gen = 1;
-        }
     }
 }
 
@@ -138,14 +109,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_drops_entries() {
-        let mut c = ComputedCache::with_capacity(64);
-        c.put(1, NodeId(2), NodeId(3), NodeId(5));
-        c.invalidate_all();
-        assert_eq!(c.get(1, NodeId(2), NodeId(3)), None);
-        // The slot is reusable in the new generation.
-        c.put(1, NodeId(2), NodeId(3), NodeId(8));
-        assert_eq!(c.get(1, NodeId(2), NodeId(3)), Some(NodeId(8)));
+    fn zeroed_slots_never_match() {
+        // Op 0 with operands 0, 0 is what a zeroed slot would spell
+        // without the valid bit.
+        let c = ComputedCache::with_capacity(16);
+        assert_eq!(c.get(0, NodeId(0), NodeId(0)), None);
     }
 
     #[test]
@@ -153,22 +121,10 @@ mod tests {
         // Capacity 16 (minimum): flood with distinct keys; with only 16
         // slots some must collide and evict.
         let mut c = ComputedCache::with_capacity(1);
-        assert_eq!(c.capacity(), 16);
+        assert_eq!(c.slots.len(), 16);
         for i in 0..64u32 {
             c.put(1, NodeId(i), NodeId(i + 1), NodeId(i + 2));
         }
         assert!(c.evictions() > 0);
-    }
-
-    #[test]
-    fn generation_wraparound_flushes() {
-        let mut c = ComputedCache::with_capacity(16);
-        c.put(1, NodeId(2), NodeId(3), NodeId(5));
-        for _ in 0..=GEN_MASK {
-            c.invalidate_all();
-        }
-        // One full 24-bit cycle later the stamp would alias without the
-        // wraparound flush.
-        assert_eq!(c.get(1, NodeId(2), NodeId(3)), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Enumeration of the sets in a family.
+//! Enumeration of the sets in a family, and its support.
 
 use crate::node::{NodeId, Var};
 use crate::Zdd;
@@ -21,9 +21,8 @@ impl Iterator for SetsIter<'_> {
                 NodeId::EMPTY => continue,
                 NodeId::BASE => return Some(path),
                 _ => {
-                    let v = self.zdd.var_of(node);
                     let mut hi_path = path.clone();
-                    hi_path.push(v);
+                    hi_path.push(Var(self.zdd.raw_var(node)));
                     // Push hi first so lo (sets without the smaller var)
                     // come out after: order is stable, not semantic.
                     self.stack.push((self.zdd.hi(node), hi_path));
@@ -59,6 +58,23 @@ impl Zdd {
     pub fn to_sets(&self, f: NodeId) -> Vec<Vec<Var>> {
         self.sets(f).collect()
     }
+
+    /// The set of variables occurring in at least one member of `f`,
+    /// in increasing order.
+    pub fn support(&self, f: NodeId) -> Vec<Var> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut stack = vec![f];
+        let mut visited = std::collections::HashSet::new();
+        while let Some(n) = stack.pop() {
+            if n.is_terminal() || !visited.insert(n) {
+                continue;
+            }
+            seen.insert(self.raw_var(n));
+            stack.push(self.lo(n));
+            stack.push(self.hi(n));
+        }
+        seen.into_iter().map(Var).collect()
+    }
 }
 
 #[cfg(test)]
@@ -90,12 +106,21 @@ mod tests {
     }
 
     #[test]
-    fn iteration_matches_count() {
+    fn shared_nodes_enumerate_every_path() {
+        // Fully shared chain: 6 internal nodes, 2^6 members.
         let mut z = Zdd::default();
-        let mut f = z.base();
+        let mut f = NodeId::BASE;
         for v in (0..6).rev() {
             f = z.node(Var(v), f, f);
         }
-        assert_eq!(z.sets(f).count() as u128, z.count(f));
+        assert_eq!(z.sets(f).count(), 64);
+    }
+
+    #[test]
+    fn support_collects_vars() {
+        let mut z = Zdd::default();
+        let f = z.from_sets([vec![Var(0), Var(3)], vec![Var(1)]]);
+        assert_eq!(z.support(f), vec![Var(0), Var(1), Var(3)]);
+        assert!(z.support(NodeId::BASE).is_empty());
     }
 }

@@ -2,61 +2,46 @@
 //! families.
 //!
 //! A ZDD is a canonical, compressed representation of a *family of sets* over
-//! a totally ordered universe of [`Var`]s. This crate provides the substrate
-//! the `ZDD_SCG` unate-covering heuristic (Cordone et al., DATE 2000) uses to
-//! represent covering matrices implicitly: every row of the matrix is the set
-//! of columns covering it, and the whole matrix is a family of such sets.
+//! a totally ordered universe of [`Var`]s. In this workspace it holds the
+//! prime implicants the Coudert–Madre recursion generates (`ucp-logic`'s
+//! `primes` module): each prime is the set of its literals, and the primes
+//! of a function are one family.
 //!
-//! The crate implements:
+//! The crate implements what that recursion calls:
 //!
 //! * hash-consed node storage behind an open-addressing unique table with
-//!   incremental rehashing ([`Zdd`]), constructed through the
-//!   [`ZddOptions`] builder,
-//! * a fixed-size, generational computed cache (bounded memory, O(1)
-//!   invalidation on GC),
-//! * mark-and-compact garbage collection with registered root slots
-//!   ([`Zdd::register_root`], [`Zdd::maybe_gc`]),
-//! * the classical family algebra — [`Zdd::union`], [`Zdd::intersect`],
-//!   [`Zdd::difference`], [`Zdd::product`], [`Zdd::subset0`],
-//!   [`Zdd::subset1`], [`Zdd::change`],
-//! * the set-inclusion operators at the heart of implicit dominance
-//!   reductions — [`Zdd::minimal`], [`Zdd::maximal`],
-//!   [`Zdd::nonsupersets`], [`Zdd::nonsubsets`],
-//! * counting, enumeration and DOT export,
+//!   incremental rehashing ([`Zdd`], built with [`Zdd::default`]),
+//! * a fixed-size, direct-mapped computed cache (bounded memory),
+//! * the family operations [`Zdd::union`], [`Zdd::difference`] and
+//!   [`Zdd::change`],
+//! * bottom-up construction ([`Zdd::from_sets`]), enumeration
+//!   ([`Zdd::sets`]) and the support of a family ([`Zdd::support`]),
 //! * performance counters — unique-table and computed-cache hit rates,
-//!   evictions, node high-water mark and GC reclamation ([`Zdd::stats`]).
+//!   evictions and the node count ([`Zdd::stats`]).
 //!
 //! # Example
 //!
 //! ```
-//! use zdd::{Var, ZddOptions};
+//! use zdd::{Var, Zdd};
 //!
-//! let mut z = ZddOptions::new().build();
-//! let family = z.from_sets([vec![Var(0), Var(1)], vec![Var(0)], vec![Var(2)]]);
-//! // Row dominance: `{0,1}` is a superset of `{0}`, so it is not minimal.
-//! let minimal = z.minimal(family);
-//! assert_eq!(z.count(minimal), 2);
+//! let mut z = Zdd::default();
+//! let family = z.from_sets([vec![Var(0), Var(1)], vec![Var(2)]]);
+//! // Toggle variable 1 in every member: {0,1} → {0}, {2} → {1,2}.
+//! let toggled = z.change(family, Var(1));
+//! let mut sets = z.to_sets(toggled);
+//! sets.sort();
+//! assert_eq!(sets, vec![vec![Var(0)], vec![Var(1), Var(2)]]);
 //! ```
 
 mod algebra;
 mod cache;
-mod count;
-mod division;
-mod dot;
-mod gc;
-pub mod hash;
-mod inclusion;
 mod iter;
 mod manager;
 mod node;
-mod options;
 mod stats;
-mod subset;
 mod table;
 
-pub use gc::GcStats;
 pub use iter::SetsIter;
-pub use manager::{RootId, Zdd};
+pub use manager::Zdd;
 pub use node::{NodeId, Var};
-pub use options::ZddOptions;
-pub use stats::{GcPauseHistogram, ZddStats, GC_PAUSE_BOUNDS_NANOS, GC_PAUSE_BUCKETS};
+pub use stats::{GcPauseHistogram, ZddStats};

@@ -2,37 +2,27 @@
 
 use crate::cache::ComputedCache;
 use crate::node::{Node, NodeId, Var, TERMINAL_VAR};
-use crate::options::ZddOptions;
 use crate::stats::ZddStats;
 use crate::table::UniqueTable;
 
+/// Initial slot count of the unique table. The table grows by doubling
+/// with incremental rehashing, so this only sets where that starts.
+const UNIQUE_CAPACITY: usize = 1 << 12;
+
+/// Entry count of the computed cache, fixed for the manager's lifetime:
+/// 16 bytes per entry, colliding results overwrite.
+const CACHE_CAPACITY: usize = 1 << 15;
+
 /// Operation tags for the binary-operation cache. The discriminant is
-/// packed into the computed cache's per-slot metadata word.
+/// packed into the computed cache's per-slot metadata word and feeds its
+/// slot hash, so each value is fixed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub(crate) enum Op {
-    Union,
-    Intersect,
-    Difference,
-    Product,
-    NonSupersets,
-    NonSubsets,
-    Minimal,
-    Maximal,
-    Subset0,
-    Quotient,
-    Subset1,
-    Change,
+    Union = 0,
+    Difference = 2,
+    Change = 11,
 }
-
-/// A registered GC root slot: a handle the manager updates in place when
-/// a collection remaps node ids.
-///
-/// Obtained from [`Zdd::register_root`]; read the current (possibly
-/// remapped) id back with [`Zdd::root`]. Registered roots survive both
-/// explicit [`Zdd::gc`] calls and automatic collections.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RootId(pub(crate) usize);
 
 /// A hash-consed store of ZDD nodes.
 ///
@@ -41,44 +31,29 @@ pub struct RootId(pub(crate) usize);
 /// receiver of every operation (the functional style of CUDD's ZDD API, which
 /// the paper's implementation used).
 ///
-/// Managers are constructed through the [`ZddOptions`] builder
-/// (`Zdd::default()` is shorthand for `ZddOptions::default().build()`).
-///
 /// # Example
 ///
 /// ```
-/// use zdd::{Var, ZddOptions};
+/// use zdd::{Var, Zdd};
 ///
-/// let mut z = ZddOptions::new().build();
+/// let mut z = Zdd::default();
 /// let a = z.from_sets([vec![Var(0)], vec![Var(1)]]);
 /// let b = z.from_sets([vec![Var(1)], vec![Var(2)]]);
 /// let u = z.union(a, b);
-/// assert_eq!(z.count(u), 3);
+/// assert_eq!(z.sets(u).count(), 3);
 /// ```
 #[derive(Debug)]
 pub struct Zdd {
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: UniqueTable,
     pub(crate) cache: ComputedCache,
-    /// Registered root slots; `None` marks a released slot.
-    pub(crate) roots: Vec<Option<NodeId>>,
-    pub(crate) opts: ZddOptions,
-    /// Store size at which the next automatic collection triggers.
-    pub(crate) gc_at: usize,
+    /// Unique-table and computed-cache hit/miss counters; the rest of a
+    /// [`ZddStats`] snapshot is sampled by [`Zdd::stats`].
     pub(crate) stats: ZddStats,
 }
 
 impl Default for Zdd {
-    /// Equivalent to `ZddOptions::default().build()`.
     fn default() -> Self {
-        ZddOptions::default().build()
-    }
-}
-
-impl Zdd {
-    /// Constructs a manager from validated options ([`ZddOptions::build`]
-    /// is the public entry).
-    pub(crate) fn with_options(opts: ZddOptions) -> Self {
         let terminal = |_| Node {
             var: TERMINAL_VAR,
             lo: NodeId::EMPTY,
@@ -86,56 +61,29 @@ impl Zdd {
         };
         Zdd {
             nodes: vec![terminal(0), terminal(1)],
-            unique: UniqueTable::with_capacity(opts.unique_capacity),
-            cache: ComputedCache::with_capacity(opts.cache_capacity),
-            roots: Vec::new(),
-            gc_at: opts.gc_threshold.max(4),
-            opts,
-            stats: ZddStats {
-                peak_nodes: 2,
-                ..ZddStats::default()
-            },
+            unique: UniqueTable::with_capacity(UNIQUE_CAPACITY),
+            cache: ComputedCache::with_capacity(CACHE_CAPACITY),
+            stats: ZddStats::default(),
         }
     }
+}
 
-    /// The options this manager was built with.
-    pub fn options(&self) -> ZddOptions {
-        self.opts
-    }
-
+impl Zdd {
     /// A snapshot of the manager's performance counters.
     ///
-    /// The snapshot samples the store at call time: `live_nodes` is the
-    /// current store size and `peak_nodes` is the high-water mark, which
-    /// the manager also samples at every GC boundary — a collection
-    /// between probes cannot hide the true peak.
-    ///
-    /// See [`ZddStats`] for what is counted; by construction
-    /// `stats().cache_lookups()` equals the number of memo-cache probes the
-    /// recursive operations performed.
+    /// The store never shrinks, so `live_nodes` and `peak_nodes` are both
+    /// its current size. See [`ZddStats`] for what is counted; by
+    /// construction `stats().cache_lookups()` equals the number of
+    /// memo-cache probes the recursive operations performed.
     #[inline]
     pub fn stats(&self) -> ZddStats {
         ZddStats {
-            peak_nodes: self.stats.peak_nodes.max(self.nodes.len()),
-            live_nodes: self.nodes.len(),
-            cache_evictions: self.cache.evictions() - self.stats.cache_evictions,
-            unique_relocations: self.unique.migrations() - self.stats.unique_relocations,
-            ..self.stats
-        }
-    }
-
-    /// Resets all counters to zero (the node high-water mark restarts from
-    /// the current store size).
-    pub fn reset_stats(&mut self) {
-        self.stats = ZddStats {
             peak_nodes: self.nodes.len(),
             live_nodes: self.nodes.len(),
-            // Baselines subtracted by `stats()`, so the snapshot restarts
-            // from zero without touching the monotone internal counters.
             cache_evictions: self.cache.evictions(),
             unique_relocations: self.unique.migrations(),
-            ..ZddStats::default()
-        };
+            ..self.stats
+        }
     }
 
     /// Memo-cache lookup: the single choke point through which every
@@ -158,29 +106,6 @@ impl Zdd {
         self.cache.put(key.0 as u8, key.1, key.2, r);
     }
 
-    /// The empty family `∅`.
-    #[inline]
-    pub fn empty(&self) -> NodeId {
-        NodeId::EMPTY
-    }
-
-    /// The unit family `{∅}`.
-    #[inline]
-    pub fn base(&self) -> NodeId {
-        NodeId::BASE
-    }
-
-    /// Returns the decision variable of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is a terminal node.
-    #[inline]
-    pub fn var_of(&self, f: NodeId) -> Var {
-        debug_assert!(!f.is_terminal(), "terminals have no variable");
-        Var(self.nodes[f.index()].var)
-    }
-
     /// Raw variable index with terminals mapping to `u32::MAX`, so that the
     /// top variable of two nodes is simply the minimum.
     #[inline]
@@ -188,25 +113,17 @@ impl Zdd {
         self.nodes[f.index()].var
     }
 
-    /// The `lo` child (subfamily of sets *not* containing `var_of(f)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `f` is a terminal.
+    /// The `lo` child (subfamily of sets *not* containing the top variable).
     #[inline]
-    pub fn lo(&self, f: NodeId) -> NodeId {
+    pub(crate) fn lo(&self, f: NodeId) -> NodeId {
         debug_assert!(!f.is_terminal());
         self.nodes[f.index()].lo
     }
 
-    /// The `hi` child (subfamily of sets containing `var_of(f)`, with the
-    /// variable stripped).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `f` is a terminal.
+    /// The `hi` child (subfamily of sets containing the top variable, with
+    /// the variable stripped).
     #[inline]
-    pub fn hi(&self, f: NodeId) -> NodeId {
+    pub(crate) fn hi(&self, f: NodeId) -> NodeId {
         debug_assert!(!f.is_terminal());
         self.nodes[f.index()].hi
     }
@@ -220,7 +137,7 @@ impl Zdd {
     /// Panics in debug builds if `lo` or `hi` has a top variable that is not
     /// strictly below `var` in the order (i.e. not strictly greater index).
     #[inline]
-    pub fn node(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
+    pub(crate) fn node(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
         if hi == NodeId::EMPTY {
             return lo;
         }
@@ -236,28 +153,6 @@ impl Zdd {
         self.nodes.push(key);
         self.unique.insert(&self.nodes, id);
         id
-    }
-
-    /// The family `{{var}}` containing the single singleton set.
-    pub fn single(&mut self, var: Var) -> NodeId {
-        self.node(var, NodeId::EMPTY, NodeId::BASE)
-    }
-
-    /// Builds the family containing exactly the given set.
-    ///
-    /// Duplicate variables in `set` are tolerated.
-    pub fn set<I>(&mut self, set: I) -> NodeId
-    where
-        I: IntoIterator<Item = Var>,
-    {
-        let mut vars: Vec<Var> = set.into_iter().collect();
-        vars.sort_unstable();
-        vars.dedup();
-        let mut acc = NodeId::BASE;
-        for v in vars.into_iter().rev() {
-            acc = self.node(v, NodeId::EMPTY, acc);
-        }
-        acc
     }
 
     /// Builds a family from an iterator of sets.
@@ -300,121 +195,6 @@ impl Zdd {
         acc
     }
 
-    /// Returns `true` if the empty set `∅` is a member of `f`.
-    pub fn contains_empty(&self, mut f: NodeId) -> bool {
-        while !f.is_terminal() {
-            f = self.lo(f);
-        }
-        f == NodeId::BASE
-    }
-
-    /// Membership test for an explicit set.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use zdd::{Var, ZddOptions};
-    /// let mut z = ZddOptions::new().build();
-    /// let f = z.from_sets([vec![Var(0), Var(2)]]);
-    /// assert!(z.contains_set(f, &[Var(0), Var(2)]));
-    /// assert!(!z.contains_set(f, &[Var(0)]));
-    /// ```
-    pub fn contains_set(&self, f: NodeId, set: &[Var]) -> bool {
-        let mut vars: Vec<u32> = set.iter().map(|v| v.0).collect();
-        vars.sort_unstable();
-        vars.dedup();
-        let mut cur = f;
-        let mut idx = 0;
-        loop {
-            if cur.is_terminal() {
-                return cur == NodeId::BASE && idx == vars.len();
-            }
-            let v = self.raw_var(cur);
-            if idx < vars.len() && vars[idx] == v {
-                cur = self.hi(cur);
-                idx += 1;
-            } else if idx < vars.len() && vars[idx] < v {
-                // The set demands a variable the diagram can no longer offer.
-                return false;
-            } else {
-                cur = self.lo(cur);
-            }
-        }
-    }
-
-    /// Number of live nodes in the whole store (including terminals).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if the store holds only the two terminals.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 2
-    }
-
-    /// Registers `id` as a GC root and returns its slot handle.
-    ///
-    /// Registered roots are kept alive — and remapped in place — by every
-    /// collection, so a long-lived family can survive GCs without its
-    /// owner re-threading ids through [`Zdd::gc`]'s return value.
-    pub fn register_root(&mut self, id: NodeId) -> RootId {
-        // Reuse a released slot if one exists; the registry stays tiny.
-        if let Some(free) = self.roots.iter().position(Option::is_none) {
-            self.roots[free] = Some(id);
-            RootId(free)
-        } else {
-            self.roots.push(Some(id));
-            RootId(self.roots.len() - 1)
-        }
-    }
-
-    /// Updates the node id held by a registered root slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was released.
-    pub fn set_root(&mut self, slot: RootId, id: NodeId) {
-        let r = self.roots[slot.0].as_mut().expect("released root slot");
-        *r = id;
-    }
-
-    /// Reads the current (possibly GC-remapped) id of a registered root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was released.
-    pub fn root(&self, slot: RootId) -> NodeId {
-        self.roots[slot.0].expect("released root slot")
-    }
-
-    /// Releases a root slot; the family it pinned becomes collectable.
-    pub fn release_root(&mut self, slot: RootId) {
-        self.roots[slot.0] = None;
-    }
-
-    /// Runs a collection now if auto-GC is enabled and the store has
-    /// grown past the trigger point. Only registered roots (and their
-    /// descendants) survive; **all other outstanding [`NodeId`]s are
-    /// invalidated**, so call this only at points where every live family
-    /// is held in a registered root.
-    ///
-    /// Returns the collection's statistics if one ran.
-    pub fn maybe_gc(&mut self) -> Option<crate::GcStats> {
-        if self.opts.auto_gc && self.nodes.len() >= self.gc_at {
-            Some(self.collect())
-        } else {
-            None
-        }
-    }
-
-    /// Unconditionally collects, keeping only registered roots.
-    ///
-    /// See [`Zdd::maybe_gc`] for the invalidation caveat.
-    pub fn collect(&mut self) -> crate::GcStats {
-        let (_, stats) = self.gc(&[]);
-        stats
-    }
-
     /// Cofactors of `f` with respect to `v`: the pair `(f0, f1)` where `f0`
     /// are the members without `v` and `f1` the members with `v` (stripped).
     #[inline]
@@ -455,10 +235,9 @@ mod tests {
     #[test]
     fn terminals_exist() {
         let z = Zdd::default();
-        assert_eq!(z.len(), 2);
-        assert!(z.is_empty());
-        assert!(z.contains_empty(NodeId::BASE));
-        assert!(!z.contains_empty(NodeId::EMPTY));
+        assert_eq!(z.nodes.len(), 2);
+        assert_eq!(z.to_sets(NodeId::BASE), vec![Vec::<Var>::new()]);
+        assert!(z.to_sets(NodeId::EMPTY).is_empty());
     }
 
     #[test]
@@ -471,83 +250,16 @@ mod tests {
     #[test]
     fn hash_consing_gives_equal_ids() {
         let mut z = Zdd::default();
-        let a = z.set([Var(1), Var(4)]);
-        let b = z.set([Var(4), Var(1)]);
+        let a = z.from_sets([[Var(1), Var(4)]]);
+        let b = z.from_sets([[Var(4), Var(1)]]);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn set_dedups_variables() {
+    fn from_sets_dedups_variables() {
         let mut z = Zdd::default();
-        let a = z.set([Var(2), Var(2), Var(5)]);
-        assert!(z.contains_set(a, &[Var(2), Var(5)]));
-        assert_eq!(z.count(a), 1);
-    }
-
-    #[test]
-    fn membership() {
-        let mut z = Zdd::default();
-        let f = z.from_sets([vec![Var(0), Var(1)], vec![Var(2)], vec![]]);
-        assert!(z.contains_set(f, &[Var(0), Var(1)]));
-        assert!(z.contains_set(f, &[Var(2)]));
-        assert!(z.contains_set(f, &[]));
-        assert!(!z.contains_set(f, &[Var(0)]));
-        assert!(!z.contains_set(f, &[Var(0), Var(1), Var(2)]));
-        assert!(z.contains_empty(f));
-    }
-
-    #[test]
-    fn single_is_singleton_family() {
-        let mut z = Zdd::default();
-        let s = z.single(Var(7));
-        assert_eq!(z.count(s), 1);
-        assert!(z.contains_set(s, &[Var(7)]));
-    }
-
-    #[test]
-    fn registered_roots_survive_collection() {
-        let mut z = ZddOptions::new().auto_gc(false).build();
-        let keep = z.from_sets([vec![Var(0), Var(2)], vec![Var(1)]]);
-        let sets = z.to_sets(keep);
-        let slot = z.register_root(keep);
-        for i in 0..20 {
-            let _ = z.from_sets([vec![Var(i), Var(i + 1), Var(i + 2)]]);
-        }
-        let stats = z.collect();
-        assert!(stats.freed() > 0);
-        assert_eq!(z.to_sets(z.root(slot)), sets);
-    }
-
-    #[test]
-    fn released_roots_are_collected() {
-        let mut z = ZddOptions::new().auto_gc(false).build();
-        let f = z.from_sets([vec![Var(0), Var(1), Var(2)]]);
-        let slot = z.register_root(f);
-        z.release_root(slot);
-        let stats = z.collect();
-        assert_eq!(stats.after, 2);
-        // The slot is reusable.
-        let g = z.from_sets([vec![Var(3)]]);
-        let slot2 = z.register_root(g);
-        assert_eq!(slot, slot2);
-    }
-
-    #[test]
-    fn auto_gc_triggers_at_threshold() {
-        let mut z = ZddOptions::new().gc_threshold(64).build();
-        let keep = z.from_sets([vec![Var(0)], vec![Var(1)]]);
-        let slot = z.register_root(keep);
-        let mut collected = false;
-        for i in 0..200u32 {
-            let _ = z.from_sets([vec![Var(i), Var(i + 1)]]);
-            if z.maybe_gc().is_some() {
-                collected = true;
-                break;
-            }
-        }
-        assert!(collected, "auto GC never triggered past the threshold");
-        assert!(z.stats().gc_runs >= 1);
-        assert_eq!(z.count(z.root(slot)), 2);
+        let a = z.from_sets([[Var(2), Var(2), Var(5)]]);
+        assert_eq!(z.to_sets(a), vec![vec![Var(2), Var(5)]]);
     }
 
     #[test]
@@ -555,7 +267,7 @@ mod tests {
         let mut z = Zdd::default();
         let _ = z.from_sets([vec![Var(0), Var(1)], vec![Var(2), Var(3)]]);
         let s = z.stats();
-        assert_eq!(s.live_nodes, z.len());
-        assert!(s.peak_nodes >= s.live_nodes);
+        assert_eq!(s.live_nodes, z.nodes.len());
+        assert_eq!(s.peak_nodes, s.live_nodes);
     }
 }

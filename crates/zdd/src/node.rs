@@ -1,12 +1,9 @@
 //! Node identifiers and variables for the ZDD store.
 
-use std::fmt;
-
 /// A variable (element of the universe) in a ZDD.
 ///
 /// Variables are ordered by their index: smaller indices appear closer to the
-/// root of every diagram. In the unate-covering encoding a variable is a
-/// column index of the covering matrix.
+/// root of every diagram.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Var(pub u32);
 
@@ -15,18 +12,6 @@ impl Var {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl fmt::Display for Var {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "x{}", self.0)
-    }
-}
-
-impl From<u32> for Var {
-    fn from(v: u32) -> Self {
-        Var(v)
     }
 }
 
@@ -53,29 +38,13 @@ impl NodeId {
 
     /// Returns `true` for the two terminal nodes.
     #[inline]
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         self.0 <= 1
-    }
-
-    /// Returns `true` if this is the empty family.
-    #[inline]
-    pub fn is_empty_family(self) -> bool {
-        self == NodeId::EMPTY
     }
 
     #[inline]
     pub(crate) fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            NodeId::EMPTY => write!(f, "⊥"),
-            NodeId::BASE => write!(f, "⊤"),
-            NodeId(n) => write!(f, "n{n}"),
-        }
     }
 }
 
@@ -89,8 +58,8 @@ pub(crate) struct Node {
     pub hi: NodeId,
 }
 
-/// Sentinel variable index used by terminal nodes so that `var_of` of a
-/// terminal compares greater than every real variable.
+/// Sentinel variable index used by terminal nodes so that the raw variable
+/// of a terminal compares greater than every real variable.
 pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
 #[cfg(test)]
@@ -110,15 +79,5 @@ mod tests {
         assert!(NodeId::EMPTY.is_terminal());
         assert!(NodeId::BASE.is_terminal());
         assert!(!NodeId(2).is_terminal());
-        assert!(NodeId::EMPTY.is_empty_family());
-        assert!(!NodeId::BASE.is_empty_family());
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(NodeId::EMPTY.to_string(), "⊥");
-        assert_eq!(NodeId::BASE.to_string(), "⊤");
-        assert_eq!(NodeId(9).to_string(), "n9");
-        assert_eq!(Var(3).to_string(), "x3");
     }
 }

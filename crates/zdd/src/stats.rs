@@ -2,95 +2,29 @@
 
 use std::time::Duration;
 
-/// Number of GC-pause buckets: [`GC_PAUSE_BOUNDS_NANOS`] plus the
-/// implicit overflow (`+Inf`) bucket.
-pub const GC_PAUSE_BUCKETS: usize = 8;
-
-/// Upper bucket edges of the GC pause histogram, in nanoseconds:
-/// 10µs, 100µs, 1ms, 10ms, 100ms, 1s, 10s (plus `+Inf`). Log-spaced so
-/// one layout covers both the sub-millisecond collections of sweep
-/// solves and pathological multi-second compactions.
-pub const GC_PAUSE_BOUNDS_NANOS: [u64; GC_PAUSE_BUCKETS - 1] = [
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-    10_000_000_000,
-];
-
-/// Fixed-bucket histogram of garbage-collection pause times.
-///
-/// A `Copy` value embedded in [`ZddStats`] rather than a registry-backed
-/// histogram: the kernel stays dependency-free and its stats remain a
-/// plain snapshot, while callers that keep a metrics registry bridge the
-/// buckets across after the solve (`counts()` matches the registry
-/// histogram layout bucket-for-bucket). Recording happens only inside
-/// `Zdd::gc`, so the cost is one array increment per collection —
-/// invisible next to the collection itself.
+/// Garbage-collection pause total. The kernel never collects, so it
+/// always reads zero; it stays so that [`ZddStats`] keeps the shape the
+/// benchmark reports read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcPauseHistogram {
-    counts: [u64; GC_PAUSE_BUCKETS],
     total_nanos: u64,
-    max_nanos: u64,
 }
 
 impl GcPauseHistogram {
-    /// Records one collection's pause.
-    pub fn record(&mut self, pause: Duration) {
-        let nanos = u64::try_from(pause.as_nanos()).unwrap_or(u64::MAX);
-        let idx = GC_PAUSE_BOUNDS_NANOS
-            .iter()
-            .position(|&b| nanos <= b)
-            .unwrap_or(GC_PAUSE_BUCKETS - 1);
-        self.counts[idx] += 1;
-        self.total_nanos = self.total_nanos.saturating_add(nanos);
-        self.max_nanos = self.max_nanos.max(nanos);
-    }
-
-    /// Per-bucket counts (non-cumulative), one per
-    /// [`GC_PAUSE_BOUNDS_NANOS`] edge plus the overflow bucket.
-    pub fn counts(&self) -> [u64; GC_PAUSE_BUCKETS] {
-        self.counts
-    }
-
-    /// The bucket edges in seconds, for bridging into latency
-    /// histograms keyed by `f64` bounds.
-    pub fn bounds_seconds() -> [f64; GC_PAUSE_BUCKETS - 1] {
-        GC_PAUSE_BOUNDS_NANOS.map(|n| n as f64 * 1e-9)
-    }
-
-    /// Collections recorded.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Total time spent collecting.
     pub fn total(&self) -> Duration {
         Duration::from_nanos(self.total_nanos)
     }
 
-    /// Longest single pause.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos)
-    }
-
-    /// Accumulates another histogram (counters add, the max pause takes
-    /// the maximum).
+    /// Accumulates another histogram.
     pub fn merge(&mut self, other: &GcPauseHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
         self.total_nanos = self.total_nanos.saturating_add(other.total_nanos);
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
 }
 
 /// A snapshot of the manager's internal counters.
 ///
-/// Counters accumulate from manager creation (or the last
-/// [`Zdd::reset_stats`](crate::Zdd::reset_stats)) and are cheap plain-field
+/// Counters accumulate from manager creation and are cheap plain-field
 /// increments on the hot paths they observe:
 ///
 /// * **unique table** — every non-trivial call to `node()` is either a hit
@@ -98,16 +32,14 @@ impl GcPauseHistogram {
 ///   was interned). Zero-suppressed shortcuts (`hi = ∅`) never reach the
 ///   table and are not counted.
 /// * **computed cache** — every memo lookup performed by the recursive
-///   operations (union, product, minimal, quotient, …) is either a hit or
-///   a miss, counted at a single choke point, so
-///   `cache_hits + cache_misses` equals the total number of lookups by
-///   construction.
-/// * **node store** — `peak_nodes` is the high-water mark of live nodes
-///   (terminals included). It is sampled both when a snapshot is taken
-///   and at every GC boundary, so a collection between probes cannot
-///   hide the true peak; `live_nodes` is the store size at snapshot time.
-/// * **GC** — runs, total nodes reclaimed, and a fixed-bucket pause
-///   histogram ([`GcPauseHistogram`]) recorded once per collection.
+///   operations (union, difference, change) is either a hit or a miss,
+///   counted at a single choke point, so `cache_hits + cache_misses`
+///   equals the total number of lookups by construction.
+/// * **node store** — `live_nodes` is the store size at snapshot time,
+///   terminals included; the store never shrinks, so `peak_nodes` equals
+///   it.
+/// * **GC** — `gc_runs`, `gc_reclaimed` and `gc_pause` always read 0: the
+///   kernel never collects.
 /// * **kernel structures** — `cache_evictions` counts memoised results
 ///   overwritten by colliding entries in the fixed-size computed cache;
 ///   `unique_relocations` counts entries moved by the unique table's
@@ -116,14 +48,14 @@ impl GcPauseHistogram {
 /// # Example
 ///
 /// ```
-/// use zdd::{Var, ZddOptions};
-/// let mut z = ZddOptions::new().build();
+/// use zdd::{Var, Zdd};
+/// let mut z = Zdd::default();
 /// let a = z.from_sets([vec![Var(0)], vec![Var(1)]]);
 /// let b = z.from_sets([vec![Var(1)], vec![Var(2)]]);
 /// let _ = z.union(a, b);
 /// let s = z.stats();
 /// assert_eq!(s.cache_lookups(), s.cache_hits + s.cache_misses);
-/// assert!(s.peak_nodes >= z.len());
+/// assert_eq!(s.peak_nodes, s.live_nodes);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ZddStats {
@@ -135,21 +67,20 @@ pub struct ZddStats {
     pub cache_hits: u64,
     /// Computed-cache lookups that missed (and will memoise).
     pub cache_misses: u64,
-    /// High-water mark of live nodes in the store, terminals included.
-    /// Sampled at snapshot time *and* at every GC boundary.
+    /// High-water mark of nodes in the store, terminals included.
     pub peak_nodes: usize,
-    /// Live nodes in the store when the snapshot was taken.
+    /// Nodes in the store when the snapshot was taken.
     pub live_nodes: usize,
-    /// Number of garbage collections performed.
+    /// Garbage collections performed: always 0.
     pub gc_runs: u64,
-    /// Total nodes reclaimed across all collections.
+    /// Nodes reclaimed by garbage collection: always 0.
     pub gc_reclaimed: u64,
     /// Memoised results overwritten by colliding keys in the fixed-size
     /// computed cache (each costs at most one recomputation).
     pub cache_evictions: u64,
     /// Entries moved between tables by incremental unique-table rehashing.
     pub unique_relocations: u64,
-    /// Pause-time histogram of the collections counted by `gc_runs`.
+    /// Garbage-collection pause time: always zero.
     pub gc_pause: GcPauseHistogram,
 }
 
@@ -186,7 +117,7 @@ impl ZddStats {
 
     /// Accumulates another snapshot into this one: counters add, the node
     /// high-water mark takes the maximum. Used to aggregate the managers of
-    /// independent solves (e.g. partition blocks) into one report.
+    /// independent solves into one report.
     pub fn merge(&mut self, other: &ZddStats) {
         self.unique_hits += other.unique_hits;
         self.unique_misses += other.unique_misses;
@@ -249,46 +180,6 @@ mod tests {
         assert_eq!(a.unique_relocations, 6);
         assert_eq!(a.peak_nodes, 10);
         assert_eq!(a.live_nodes, 6);
-    }
-
-    #[test]
-    fn gc_pauses_land_in_log_buckets() {
-        let mut h = GcPauseHistogram::default();
-        h.record(Duration::from_micros(5)); // ≤ 10µs
-        h.record(Duration::from_micros(10)); // edge is inclusive
-        h.record(Duration::from_millis(5)); // ≤ 10ms
-        h.record(Duration::from_secs(60)); // overflow bucket
-        let counts = h.counts();
-        assert_eq!(counts[0], 2);
-        assert_eq!(counts[3], 1);
-        assert_eq!(counts[GC_PAUSE_BUCKETS - 1], 1);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), Duration::from_secs(60));
-        assert!(h.total() > Duration::from_secs(60));
-    }
-
-    #[test]
-    fn gc_pause_merge_accumulates() {
-        let mut a = GcPauseHistogram::default();
-        a.record(Duration::from_micros(1));
-        let mut b = GcPauseHistogram::default();
-        b.record(Duration::from_secs(2));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Duration::from_secs(2));
-        let s = ZddStats {
-            gc_pause: a,
-            ..ZddStats::default()
-        };
-        let mut t = ZddStats::default();
-        t.merge(&s);
-        assert_eq!(t.gc_pause.count(), 2);
-    }
-
-    #[test]
-    fn pause_bounds_convert_to_seconds() {
-        let secs = GcPauseHistogram::bounds_seconds();
-        assert!((secs[0] - 1e-5).abs() < 1e-18);
-        assert!((secs[GC_PAUSE_BUCKETS - 2] - 10.0).abs() < 1e-9);
+        assert_eq!(a.gc_pause.total(), Duration::ZERO);
     }
 }

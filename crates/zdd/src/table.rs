@@ -11,9 +11,8 @@
 //! entries per subsequent insert, so no single `node()` call stalls on a
 //! full rebuild.
 //!
-//! Deletion happens only wholesale, through [`UniqueTable::rebuild`]
-//! after a garbage collection compacts the store, so the probe sequences
-//! never need tombstones.
+//! Nodes are never deleted, so the probe sequences never need
+//! tombstones.
 
 use crate::node::Node;
 use crate::node::NodeId;
@@ -65,33 +64,16 @@ impl std::fmt::Debug for UniqueTable {
     }
 }
 
-/// Rounds a requested capacity to a power of two ≥ 16.
-fn pow2_capacity(requested: usize) -> usize {
-    requested.next_power_of_two().max(16)
-}
-
 impl UniqueTable {
-    /// An empty table with about `capacity` slots.
+    /// An empty table with `capacity` slots, rounded up to a power of
+    /// two ≥ 16.
     pub fn with_capacity(capacity: usize) -> Self {
         UniqueTable {
-            slots: vec![EMPTY_SLOT; pow2_capacity(capacity)].into_boxed_slice(),
+            slots: vec![EMPTY_SLOT; capacity.next_power_of_two().max(16)].into_boxed_slice(),
             len: 0,
             retired: None,
             migrations: 0,
         }
-    }
-
-    /// A fresh table over the (already compacted) node store: every
-    /// non-terminal node is re-interned. Used after GC, when surviving
-    /// node ids have been remapped wholesale.
-    pub fn rebuild(nodes: &[Node], min_capacity: usize) -> Self {
-        let need = pow2_capacity(min_capacity.max(nodes.len() * 2));
-        let mut table = UniqueTable::with_capacity(need);
-        for (i, node) in nodes.iter().enumerate().skip(2) {
-            table.insert_raw(node_hash(node), i as u32);
-            table.len += 1;
-        }
-        table
     }
 
     /// Entries moved by incremental rehashing so far.
@@ -114,16 +96,14 @@ impl UniqueTable {
 
     /// Records that `nodes[id]` was appended to the store. The caller
     /// guarantees [`UniqueTable::find`] just returned `None` for its
-    /// contents. Returns the number of entries migrated from a retired
-    /// table as a side effect of this insert.
-    pub fn insert(&mut self, nodes: &[Node], id: NodeId) -> u64 {
-        let migrated = self.migrate_chunk(nodes);
+    /// contents.
+    pub fn insert(&mut self, nodes: &[Node], id: NodeId) {
+        self.migrate_chunk(nodes);
         if self.should_grow() {
             self.grow(nodes);
         }
-        self.insert_raw(node_hash(&nodes[id.index()]), id.0);
+        insert_raw_into(&mut self.slots, node_hash(&nodes[id.index()]), id.0);
         self.len += 1;
-        migrated
     }
 
     /// Live entries counting both the current and any retired table.
@@ -141,9 +121,9 @@ impl UniqueTable {
     /// Migrated entries are *copied*, not removed — probe chains in the
     /// retired table stay intact for lookups — and the whole retired
     /// allocation is dropped once its scan completes.
-    fn migrate_chunk(&mut self, nodes: &[Node]) -> u64 {
+    fn migrate_chunk(&mut self, nodes: &[Node]) {
         let Some(old) = &mut self.retired else {
-            return 0;
+            return;
         };
         let mut moved = 0u64;
         while old.remaining > 0 && moved < MIGRATE_CHUNK as u64 {
@@ -161,7 +141,6 @@ impl UniqueTable {
             self.retired = None;
         }
         self.migrations += moved;
-        moved
     }
 
     /// Doubles the table. Any in-flight drain is finished first so at
@@ -182,11 +161,6 @@ impl UniqueTable {
             drain: 0,
             remaining,
         });
-    }
-
-    #[inline]
-    fn insert_raw(&mut self, hash: u64, id: u32) {
-        insert_raw_into(&mut self.slots, hash, id);
     }
 }
 
@@ -255,27 +229,5 @@ mod tests {
             assert_eq!(table.find(&nodes, node), Some(NodeId(i as u32)));
         }
         assert!(table.migrations() > 0, "incremental rehash never engaged");
-    }
-
-    #[test]
-    fn rebuild_reindexes_the_store() {
-        let mut nodes = vec![terminal(), terminal()];
-        for k in 0..50u32 {
-            nodes.push(Node {
-                var: k,
-                lo: NodeId::EMPTY,
-                hi: NodeId::BASE,
-            });
-        }
-        let table = UniqueTable::rebuild(&nodes, 16);
-        for (i, node) in nodes.iter().enumerate().skip(2) {
-            assert_eq!(table.find(&nodes, node), Some(NodeId(i as u32)));
-        }
-        let absent = Node {
-            var: 999,
-            lo: NodeId::EMPTY,
-            hi: NodeId::BASE,
-        };
-        assert_eq!(table.find(&nodes, &absent), None);
     }
 }

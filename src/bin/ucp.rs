@@ -16,6 +16,8 @@
 //! `cover::ParseMatrixError` docs) or the name of a built-in suite instance
 //! (see `ucp suite`); PLA files use the Berkeley format. The `solve`
 //! subcommand may be omitted: `ucp --trace out.jsonl file.ucp` solves.
+//! Each subcommand accepts only the flags listed for it; any other flag is
+//! a usage error (exit 2), wherever it stands.
 //!
 //! `--preset <paper|fast|thorough>` picks a named option set (the paper's
 //! published parameters by default — see `ucp_core::Preset`).
@@ -190,27 +192,115 @@ fn usage(msg: impl Into<String>) -> Box<dyn std::error::Error> {
     Box::new(UsageError(msg.into()))
 }
 
+/// One flag a subcommand accepts: its spellings and, for a flag that
+/// takes a value, what that value is (for the missing-value error).
+struct Flag {
+    names: &'static [&'static str],
+    value: Option<&'static str>,
+}
+
+const fn switch(names: &'static [&'static str]) -> Flag {
+    Flag { names, value: None }
+}
+
+const fn valued(names: &'static [&'static str], what: &'static str) -> Flag {
+    Flag {
+        names,
+        value: Some(what),
+    }
+}
+
+const WORKERS: Flag = valued(
+    &["-j", "--workers"],
+    "a thread count (0 = sized to the cores)",
+);
+const PRESET: Flag = valued(&["--preset"], "a name (paper, fast or thorough)");
+const COVERAGE: Flag = valued(&["--coverage"], "a demand (an integer or a comma list)");
+const OUTPUT: Flag = valued(&["-o"], "an output path");
+
+/// A subcommand's arguments split by its flag table: the positionals in
+/// order, and every flag occurrence under its first spelling.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` by `table`. A flag not in the table, or a valued flag
+    /// whose value is missing (or is itself a `--flag`), is a usage error.
+    fn parse(
+        command: &str,
+        table: &[Flag],
+        args: &'a [String],
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let mut out = Args {
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            if !a.starts_with('-') || a == "-" {
+                out.positionals.push(a);
+                continue;
+            }
+            let flag = table
+                .iter()
+                .find(|f| f.names.contains(&a.as_str()))
+                .ok_or_else(|| usage(format!("unknown flag {a} for {command}")))?;
+            let value = match flag.value {
+                None => None,
+                Some(what) => Some(
+                    rest.next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| usage(format!("{} needs {what}", flag.names.join("/"))))?
+                        .as_str(),
+                ),
+            };
+            out.flags.push((flag.names[0], value));
+        }
+        Ok(out)
+    }
+
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of the first occurrence of `name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    /// The values of every occurrence of `name`, in order.
+    fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .filter_map(|(_, v)| *v)
+    }
+
+    /// The first positional argument.
+    fn first(&self) -> Option<&'a str> {
+        self.positionals.first().copied()
+    }
+}
+
 /// Parses `--preset <name>`, defaulting to the paper's parameters.
-fn parse_preset(args: &[String]) -> Result<Preset, Box<dyn std::error::Error>> {
-    match args.iter().position(|a| a == "--preset") {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| usage("--preset needs a name (paper, fast or thorough)"))?
-            .parse::<Preset>()
-            .map_err(usage),
+fn parse_preset(args: &Args) -> Result<Preset, Box<dyn std::error::Error>> {
+    match args.value("--preset") {
+        Some(name) => name.parse::<Preset>().map_err(usage),
         None => Ok(Preset::Paper),
     }
 }
 
-/// Parses `-j N` / `--workers N` (`0` = sized to the cores), defaulting to
-/// `default`.
-fn parse_workers(args: &[String], default: usize) -> Result<usize, Box<dyn std::error::Error>> {
-    match args.iter().position(|a| a == "-j" || a == "--workers") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|n| n.parse::<usize>().ok())
-            .ok_or_else(|| usage("-j/--workers needs a thread count (0 = sized to the cores)")),
-        None => Ok(default),
+/// Parses `-j N` / `--workers N`; `0`, the default, sizes the pool to the
+/// cores.
+fn parse_workers(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
+    match args.value("-j") {
+        Some(n) => n
+            .parse::<usize>()
+            .map_err(|_| usage("-j/--workers needs a thread count (0 = sized to the cores)")),
+        None => Ok(0),
     }
 }
 
@@ -232,14 +322,10 @@ impl CoverageArg {
 }
 
 /// Parses `--coverage <B | b1,b2,…>` (set-multicover demand).
-fn parse_coverage(args: &[String]) -> Result<Option<CoverageArg>, Box<dyn std::error::Error>> {
-    let Some(i) = args.iter().position(|a| a == "--coverage") else {
+fn parse_coverage(args: &Args) -> Result<Option<CoverageArg>, Box<dyn std::error::Error>> {
+    let Some(v) = args.value("--coverage") else {
         return Ok(None);
     };
-    let v = args
-        .get(i + 1)
-        .filter(|p| !p.starts_with("--"))
-        .ok_or_else(|| usage("--coverage needs a demand (an integer or a comma list)"))?;
     let parts = v
         .split(',')
         .map(|s| s.trim().parse::<u32>())
@@ -253,16 +339,9 @@ fn parse_coverage(args: &[String]) -> Result<Option<CoverageArg>, Box<dyn std::e
 }
 
 /// Parses every `--gub c1,c2,…:k` occurrence into a GUB group list.
-fn parse_gub_groups(args: &[String]) -> Result<Option<Vec<GubGroup>>, Box<dyn std::error::Error>> {
+fn parse_gub_groups(args: &Args) -> Result<Option<Vec<GubGroup>>, Box<dyn std::error::Error>> {
     let mut groups = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a != "--gub" {
-            continue;
-        }
-        let v = args
-            .get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .ok_or_else(|| usage("--gub needs cols:bound (e.g. 0,1,2:1)"))?;
+    for v in args.values("--gub") {
         let (cols_s, bound_s) = v
             .split_once(':')
             .ok_or_else(|| usage("--gub needs cols:bound (e.g. 0,1,2:1)"))?;
@@ -280,16 +359,16 @@ fn parse_gub_groups(args: &[String]) -> Result<Option<Vec<GubGroup>>, Box<dyn st
     Ok((!groups.is_empty()).then_some(groups))
 }
 
+const MINIMIZE_FLAGS: &[Flag] = &[switch(&["--exact"]), switch(&["--espresso"]), OUTPUT];
+
 fn cmd_minimize(args: &[String]) -> CliResult {
+    let args = Args::parse("minimize", MINIMIZE_FLAGS, args)?;
     let path = args
         .first()
         .ok_or_else(|| usage("minimize needs a .pla file"))?;
-    let exact = args.iter().any(|a| a == "--exact");
-    let espresso = args.iter().any(|a| a == "--espresso");
-    let out_path = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1));
+    let exact = args.has("--exact");
+    let espresso = args.has("--espresso");
+    let out_path = args.value("-o");
     let src = std::fs::read_to_string(path)?;
     let pla: Pla = src.parse()?;
     eprintln!(
@@ -369,55 +448,30 @@ fn read_matrix(path: &str) -> Result<CoverMatrix, Box<dyn std::error::Error>> {
     }
 }
 
+const SOLVE_FLAGS: &[Flag] = &[
+    switch(&["--exact"]),
+    switch(&["--stats"]),
+    valued(&["--trace"], "a file path"),
+    valued(&["--metrics"], "a file path (or - for stdout)"),
+    WORKERS,
+    PRESET,
+    COVERAGE,
+    valued(&["--gub"], "cols:bound (e.g. 0,1,2:1)"),
+];
+
 fn cmd_solve(args: &[String]) -> CliResult {
-    let exact = args.iter().any(|a| a == "--exact");
-    let stats = args.iter().any(|a| a == "--stats");
-    let trace_path = match args.iter().position(|a| a == "--trace") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .ok_or_else(|| usage("--trace needs a file path"))?,
-        ),
-        None => None,
-    };
-    let metrics_path = match args.iter().position(|a| a == "--metrics") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .ok_or_else(|| usage("--metrics needs a file path (or - for stdout)"))?,
-        ),
-        None => None,
-    };
-    let workers = parse_workers(args, 0)?;
-    let preset = parse_preset(args)?;
-    let coverage = parse_coverage(args)?;
-    let gub_groups = parse_gub_groups(args)?;
-    // The instance is the first positional argument (skipping flag values).
-    let mut path: Option<&String> = None;
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--trace"
-            || a == "--metrics"
-            || a == "-j"
-            || a == "--workers"
-            || a == "--preset"
-            || a == "--coverage"
-            || a == "--gub"
-        {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        path = Some(a);
-        break;
-    }
-    let path = path.ok_or_else(|| usage("solve needs a matrix file or suite instance name"))?;
+    let args = Args::parse("solve", SOLVE_FLAGS, args)?;
+    let exact = args.has("--exact");
+    let stats = args.has("--stats");
+    let trace_path = args.value("--trace");
+    let metrics_path = args.value("--metrics");
+    let workers = parse_workers(&args)?;
+    let preset = parse_preset(&args)?;
+    let coverage = parse_coverage(&args)?;
+    let gub_groups = parse_gub_groups(&args)?;
+    let path = args
+        .first()
+        .ok_or_else(|| usage("solve needs a matrix file or suite instance name"))?;
     let m = read_matrix(path)?;
     if exact && (coverage.is_some() || gub_groups.is_some()) {
         return Err(usage(
@@ -529,41 +583,32 @@ fn write_metrics(out: &ScgOutcome, path: &str) -> CliResult {
     Ok(())
 }
 
+const BATCH_FLAGS: &[Flag] = &[
+    WORKERS,
+    PRESET,
+    valued(&["--seed"], "an unsigned integer"),
+    COVERAGE,
+];
+
 /// `ucp batch <suite> [-j N] [--preset P] [--seed S]`: one engine job per
 /// suite instance, a live completion line per job, and a throughput
 /// footer. Results are identical to a serial `solve` loop regardless of
 /// the worker count.
 fn cmd_batch(args: &[String]) -> CliResult {
-    // The suite is the first positional argument (skipping flag values).
-    let mut category: Option<&String> = None;
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "-j" || a == "--workers" || a == "--preset" || a == "--seed" || a == "--coverage" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with('-') {
-            continue;
-        }
-        category = Some(a);
-        break;
-    }
-    let category = category
+    let args = Args::parse("batch", BATCH_FLAGS, args)?;
+    let category = args
+        .first()
         .ok_or_else(|| usage("batch needs a suite (easy, difficult, challenging or all)"))?;
-    let instances = match category.as_str() {
+    let instances = match category {
         "easy" => suite::easy_cyclic(),
         "difficult" => suite::difficult_cyclic(),
         "challenging" => suite::challenging(),
         "all" => suite::all(),
         other => return Err(usage(format!("unknown suite {other:?}"))),
     };
-    let workers = parse_workers(args, 0)?;
-    let preset = parse_preset(args)?;
-    let coverage = match parse_coverage(args)? {
+    let workers = parse_workers(&args)?;
+    let preset = parse_preset(&args)?;
+    let coverage = match parse_coverage(&args)? {
         Some(CoverageArg::PerRow(_)) => {
             return Err(usage(
                 "batch --coverage must be a single uniform demand (row counts vary per instance)",
@@ -571,11 +616,10 @@ fn cmd_batch(args: &[String]) -> CliResult {
         }
         other => other,
     };
-    let seed = match args.iter().position(|a| a == "--seed") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .and_then(|n| n.parse::<u64>().ok())
-                .ok_or_else(|| usage("--seed needs an unsigned integer"))?,
+    let seed = match args.value("--seed") {
+        Some(n) => Some(
+            n.parse::<u64>()
+                .map_err(|_| usage("--seed needs an unsigned integer"))?,
         ),
         None => None,
     };
@@ -654,37 +698,31 @@ fn cmd_batch(args: &[String]) -> CliResult {
     Ok(())
 }
 
+const SERVE_FLAGS: &[Flag] = &[
+    valued(&["--addr"], "a host:port bind address"),
+    WORKERS,
+    valued(&["--queue-cap"], "a positive job count"),
+    valued(&["--journal"], "a directory path"),
+];
+
 /// `ucp serve [--addr A] [-j N] [--queue-cap N]`: runs the `ucp-api/2`
 /// HTTP solve service until the process is killed. Jobs arrive as
 /// matrix + `JobSpec` bodies on `POST /v1/jobs`; admission control,
 /// load shedding and the wire-code taxonomy are documented on
 /// `ucp_server` and in the README's "Serving" section.
 fn cmd_serve(args: &[String]) -> CliResult {
-    let addr = match args.iter().position(|a| a == "--addr") {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| usage("--addr needs a host:port bind address"))?
-            .clone(),
-        None => "127.0.0.1:7171".to_string(),
-    };
-    let workers = parse_workers(args, 0)?;
-    let queue_capacity = match args.iter().position(|a| a == "--queue-cap") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|n| n.parse::<usize>().ok())
+    let args = Args::parse("serve", SERVE_FLAGS, args)?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7171").to_string();
+    let workers = parse_workers(&args)?;
+    let queue_capacity = match args.value("--queue-cap") {
+        Some(n) => n
+            .parse::<usize>()
+            .ok()
             .filter(|n| *n > 0)
             .ok_or_else(|| usage("--queue-cap needs a positive job count"))?,
         None => ServerConfig::default().queue_capacity,
     };
-    let journal_dir = match args.iter().position(|a| a == "--journal") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .map(std::path::PathBuf::from)
-                .ok_or_else(|| usage("--journal needs a directory path"))?,
-        ),
-        None => None,
-    };
+    let journal_dir = args.value("--journal").map(std::path::PathBuf::from);
     let server = Server::start(ServerConfig {
         addr,
         workers,
@@ -710,9 +748,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// recoverable are exactly the ones a restart would re-enqueue.
 fn cmd_journal(args: &[String]) -> CliResult {
     use ucp::ucp_durability::{read_journal, RecoverySet, Terminal};
+    let args = Args::parse("journal", &[], args)?;
     let dir = args
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| usage("journal needs a directory path"))?;
     // `read_journal` treats a missing file as an empty journal (what a
     // fresh server wants), but for the inspector a typo'd path should
@@ -801,33 +839,11 @@ fn cmd_journal(args: &[String]) -> CliResult {
 /// `solve --stats`), subgradient convergence and the result line, plus an
 /// optional folded-stack dump for flamegraph tooling.
 fn cmd_trace(args: &[String]) -> CliResult {
-    let folded_path = match args.iter().position(|a| a == "--folded") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .ok_or_else(|| usage("--folded needs a file path"))?,
-        ),
-        None => None,
-    };
-    // The trace file is the first positional argument (skipping flag values).
-    let mut path: Option<&String> = None;
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--folded" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        path = Some(a);
-        break;
-    }
-    let path = path.ok_or_else(|| usage("trace needs a .jsonl trace file"))?;
+    let args = Args::parse("trace", &[valued(&["--folded"], "a file path")], args)?;
+    let folded_path = args.value("--folded");
+    let path = args
+        .first()
+        .ok_or_else(|| usage("trace needs a .jsonl trace file"))?;
     let file =
         std::fs::File::open(path).map_err(|e| format!("cannot open trace file {path}: {e}"))?;
     let events = parse_trace(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
@@ -956,6 +972,7 @@ fn print_stats(out: &ScgOutcome) -> CliResult {
 }
 
 fn cmd_bounds(args: &[String]) -> CliResult {
+    let args = Args::parse("bounds", &[], args)?;
     let path = args
         .first()
         .ok_or_else(|| usage("bounds needs a matrix file"))?;
@@ -972,7 +989,8 @@ fn cmd_bounds(args: &[String]) -> CliResult {
 }
 
 fn cmd_suite(args: &[String]) -> CliResult {
-    let instances = match args.first().map(String::as_str) {
+    let args = Args::parse("suite", &[], args)?;
+    let instances = match args.first() {
         Some("easy") => suite::easy_cyclic(),
         Some("challenging") => suite::challenging(),
         Some("difficult") | None => suite::difficult_cyclic(),
@@ -996,15 +1014,13 @@ fn cmd_suite(args: &[String]) -> CliResult {
 }
 
 fn cmd_generate(args: &[String]) -> CliResult {
+    let args = Args::parse("generate", &[OUTPUT], args)?;
     let name = args
         .first()
         .ok_or_else(|| usage("generate needs an instance name (see `ucp suite`)"))?;
-    let out_path = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1));
+    let out_path = args.value("-o");
     let all = suite::all();
-    let inst = all.iter().find(|i| &i.name == name).ok_or_else(|| {
+    let inst = all.iter().find(|i| i.name == name).ok_or_else(|| {
         usage(format!(
             "unknown instance {name:?}; see `ucp suite <category>`"
         ))
@@ -1024,15 +1040,13 @@ fn cmd_generate(args: &[String]) -> CliResult {
 }
 
 fn cmd_classic(args: &[String]) -> CliResult {
+    let args = Args::parse("classic", &[OUTPUT], args)?;
     let name = args.first().ok_or_else(|| {
         usage("classic needs a function name (rd53, rd73, rd84, 9sym, xor5, maj5, maj7)")
     })?;
-    let out_path = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1));
+    let out_path = args.value("-o");
     use ucp::workloads::classic;
-    let pla = match name.as_str() {
+    let pla = match name {
         "rd53" => classic::rd53(),
         "rd73" => classic::rd73(),
         "rd84" => classic::rd84(),

@@ -4,8 +4,8 @@
 //!
 //! The crate bundles the whole system the paper describes:
 //!
-//! * [`zdd`] — zero-suppressed decision diagrams (the implicit covering
-//!   matrix representation),
+//! * [`zdd`] — zero-suppressed decision diagrams (the family the prime
+//!   generator collects its implicants in),
 //! * [`bdd`] — binary decision diagrams (Boolean function substrate),
 //! * [`logic`] — cube algebra, PLA parsing, prime-implicant generation, and
 //!   the Quine–McCluskey reduction of two-level minimisation to unate
@@ -36,7 +36,7 @@
 //!   analytics behind `ucp trace`,
 //! * [`ucp_metrics`] — lock-free metrics registry (counters, gauges,
 //!   log-bucketed histograms) with Prometheus text exposition, fed by the
-//!   solver, the engine and the ZDD kernel.
+//!   solver and the engine.
 //!
 //! # Quickstart
 //!
